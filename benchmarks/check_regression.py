@@ -7,15 +7,15 @@ a measurement regresses past its allowed fraction.
 
 Labels follow the same convention as the report site's
 ``extract_speedups`` walker ("pr2-engine-speedup", "fig3-mst-tradeoff
-(2 thr)", ...), so the gate, the index bar charts and the trends page all
-speak about the same measurements.  Each baseline entry carries a
-``policy``:
+n=60 W=32768 vs event", ...), so the gate, the index bar charts and the
+trends page all speak about the same measurements.  Each baseline entry
+carries a ``policy``:
 
 - ``hard``  -- a regression past ``max_regression`` exits non-zero
-  (event-engine entries: single-core, low-variance, trustworthy in CI);
+  (single-process entries: low-variance, trustworthy in CI);
 - ``warn``  -- the regression is reported but never fails the job
-  (parallel-engine entries: thread speedups on a 1-core CI host are
-  noise, not signal).
+  (multi-process entries such as the 2-daemon ``queue-drain-steal``
+  makespan, which depend on the CI host's core count).
 
 Usage::
 
@@ -101,9 +101,9 @@ def load_baselines(path: Path) -> dict:
 def default_policy(label: str) -> str:
     """Heuristic policy for labels without an existing entry.
 
-    Thread-count labels come from the parallel-engine benchmark, whose
-    speedups depend on CI host core count -- warn-only.  Everything else
-    (event-vs-dense, backend drains) is single-threaded and gated hard.
+    Thread-count labels ("(N thr)") depend on CI host core count --
+    warn-only.  Everything else (engine speedups, backend drains) is
+    gated hard.
     """
     return "warn" if "thr)" in label else "hard"
 

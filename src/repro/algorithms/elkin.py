@@ -28,11 +28,11 @@ deployment, ``O(D)`` extra rounds).
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Hashable
 
 import networkx as nx
 
-from repro.congest.kernels import StdlibKernels
 from repro.congest.message import Received
 from repro.congest.network import CongestNetwork, RunResult
 from repro.congest.node import Node, NodeProgram
@@ -148,15 +148,11 @@ def run_elkin_approx_mst(
     for e, cls in classes.items():
         u, v = tuple(e)
         quantised.add_edge(u, v, weight=cls)
-    # The engine's kernel choice (columnar engines resolve one at
-    # construction) also drives the post-run reduction sweep.
-    mst_weight_quantised = component_count_mst_weight(
-        quantised, n_classes, kernels=getattr(network.engine, "kernels", None)
-    )
+    mst_weight_quantised = component_count_mst_weight(quantised, n_classes)
     return mst_weight_quantised * alpha * w_min, result
 
 
-def component_count_mst_weight(quantised: nx.Graph, n_classes: int, kernels=None) -> float:
+def component_count_mst_weight(quantised: nx.Graph, n_classes: int) -> float:
     """The identity ``MST = sum_t (components(class < t) - 1)`` for integer
     class weights (exact Kruskal accounting).
 
@@ -164,12 +160,9 @@ def component_count_mst_weight(quantised: nx.Graph, n_classes: int, kernels=None
     with an int-indexed union-find (``O(C + m alpha(m))``) rather than
     recounting components from scratch at every threshold (``O(C (n + m))``
     -- at large aspect ratios the recount dominated the whole Fig. 3 grid
-    point).  ``kernels`` is a kernel class from
-    :mod:`repro.congest.kernels` supplying the batch sort; the sort is
-    stable, so every kernel produces the identical union sequence and the
-    identical sum.
+    point).  The sort is stable, so the union sequence follows edge
+    iteration order within a class.
     """
-    kernels = kernels or StdlibKernels
     index = {v: i for i, v in enumerate(quantised.nodes())}
     parent = list(range(len(index)))
 
@@ -179,24 +172,21 @@ def component_count_mst_weight(quantised: nx.Graph, n_classes: int, kernels=None
             x = parent[x]
         return x
 
-    classes: list[int] = []
-    us: list[int] = []
-    vs: list[int] = []
-    for u, v, data in quantised.edges(data=True):
-        classes.append(int(data["weight"]))
-        us.append(index[u])
-        vs.append(index[v])
-    classes, us, vs = kernels.sort_edges_by_class(classes, us, vs)
+    edges = sorted(
+        ((int(data["weight"]), index[u], index[v]) for u, v, data in quantised.edges(data=True)),
+        key=itemgetter(0),
+    )
 
     components = len(parent)
     total = 0.0
     cursor = 0
-    m = len(classes)
+    m = len(edges)
     for t in range(1, n_classes + 1):
         # Threshold t counts components of the subgraph with class < t; the
         # edges are class-sorted, so folding them in is one linear cursor.
-        while cursor < m and classes[cursor] < t:
-            ru, rv = find(us[cursor]), find(vs[cursor])
+        while cursor < m and edges[cursor][0] < t:
+            _, u, v = edges[cursor]
+            ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
                 components -= 1

@@ -11,8 +11,9 @@ of rounds, messages and bits.
 - :mod:`repro.congest.transport` -- link buffers, chunking, strict-mode
   checks and bit metrics.
 - :mod:`repro.congest.engine`    -- pluggable schedulers: the reference
-  ``DenseEngine``, the event-driven ``EventEngine`` fast path and the
-  thread-sharded ``ParallelEngine``, all over one batched step ABI
+  ``DenseEngine``, the event-driven ``EventEngine`` and the
+  ``ColumnarEngine`` (event clock over the struct-of-arrays transport in
+  :mod:`repro.congest.columnar`), all over one step loop
   (``StepPlan`` / ``step_batch``).
 - :mod:`repro.congest.network`   -- the ``CongestNetwork`` façade tying the
   layers together.
@@ -27,7 +28,6 @@ from repro.congest.engine import (
     DenseEngine,
     Engine,
     EventEngine,
-    ParallelEngine,
     StepPlan,
     get_engine,
     step_batch,
@@ -56,7 +56,6 @@ __all__ = [
     "Engine",
     "DenseEngine",
     "EventEngine",
-    "ParallelEngine",
     "StepPlan",
     "step_batch",
     "get_engine",

@@ -9,18 +9,13 @@ small permanent :class:`_EdgeQueue` whose *head* progress is accounted
 lazily against an internal clock -- a busy edge costs nothing per round
 until its head message actually completes.
 
-All batch operations go through the kernel seam
-(:mod:`repro.congest.kernels`): an implementation --
-:class:`~repro.congest.kernels.StdlibKernels` (the reference) or
-:class:`~repro.congest.kernels.NumpyKernels` (vectorized ndarray scans)
--- is chosen **once at construction** and held for the transport's
-lifetime; the hot path never re-checks availability or batch size.  The
-kernel instance owns the edge-clock schedule (a completion-clock heap,
-or a dense completion array scanned with ``nonzero``), making
-:meth:`deliver_round` O(completing edges) and
-:meth:`rounds_until_delivery` O(1), where the baseline transport pays
-O(live edges) per executed round and O(total queued messages) per
-quiescence probe.
+The transport keeps its edge-clock schedule as a completion-clock heap
+(one ``(completion, seq, eid)`` entry per live edge), making
+:meth:`~ColumnarTransport.deliver_round` O(completing edges) and
+:meth:`~ColumnarTransport.rounds_until_delivery` O(1), where the baseline
+transport pays O(live edges) per executed round and O(total queued
+messages) per quiescence probe.  Each flush groups its staged round by
+edge in one pass (:func:`group_round`).
 
 Column schema (documented order; see also ``docs/architecture.md``):
 
@@ -51,72 +46,96 @@ flush while a block is pending first *materializes* the block into the
 per-edge queues (byte-identical to having taken the general path), so
 arbitrary flush/deliver/skip interleavings stay exact.
 
-The staging order is exactly the serial engines' send order (node-id
-order within a round, program send order within a node), and per-edge
-FIFOs are keyed by a monotonically increasing activation sequence, so
+The staging order is exactly the engines' send order (node-id order
+within a round, program send order within a node), and per-edge FIFOs
+are keyed by a monotonically increasing activation sequence, so
 deliveries, metrics and the opt-in message log are byte-identical to the
 baseline transport -- the cross-engine equivalence suite enforces this.
-
-Numpy policy: the stdlib layout *is* the reference semantics.  When
-numpy is importable the numpy kernels are selected by default; when it
-is absent everything runs on the stdlib ``array``/``list`` columns with
-identical results.  Nothing in this module requires numpy.
+Nothing in this module requires numpy.
 
 :class:`MinEdgeIndex` is the batched min-edge reduction service used by
 the Boruvka/GKP fragment-minimum phases: incident edges are pre-sorted
 once per network by the canonical edge key, so each per-iteration
 "lightest outgoing edge" query is a prefix scan over the sorted incident
-list instead of a key construction per neighbour per query; with numpy
-kernels, high-degree nodes answer it as a masked first-eligible
-reduction over the key-sorted parallel columns.  Engines opt in via
-``Engine.uses_min_edge_index``; the legacy per-neighbour loop remains
-the reference path.
+list instead of a key construction per neighbour per query.  Engines opt
+in via ``Engine.uses_min_edge_index``; the legacy per-neighbour loop
+remains the reference path.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from typing import Any, Hashable
+from heapq import heappop, heappush
+from typing import Any, Hashable, NamedTuple
 
-from repro.congest.kernels import (
-    NUMPY_MIN_DEGREE,
-    NumpyKernels,
-    RoundGroup,
-    StdlibKernels,
-    resolve_kernels,
-)
 from repro.congest.message import Received
 from repro.congest.transport import BandwidthExceeded, LinkTransport
 
-try:  # optional fast path; the stdlib columns are the reference semantics
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the numpy-absent guard
-    _np = None
+class RoundGroup(NamedTuple):
+    """One staged round grouped by directed edge (the flush's grouping).
 
-#: Below this many staged messages a python ``sum`` beats the numpy
-#: round-trip; measured crossover is well under this conservative bound.
-_NUMPY_MIN_BATCH = 64
+    ``order`` lists message indices grouped by edge -- edges in
+    first-appearance order, FIFO within each edge -- which is exactly the
+    insertion order of the baseline transport's link dict; when every
+    staged message sits on a distinct edge it is simply ``range(n)``.
+    ``edge_order`` / ``edge_sums`` are parallel per-edge columns in that
+    same first-appearance order.  ``edge_counts`` carries the per-edge
+    message counts (the run lengths of ``order``) whenever ``order`` is a
+    materialised list -- the block delivery loop uses the runs to hoist
+    its per-edge lookups out of the per-message loop; when ``order`` is a
+    ``range`` every count is 1 and the field is ``None``.
+    """
 
-#: Shared ``order`` for the single-message flush fast path.
-_RANGE_1 = range(1)
+    order: Any  # list[int] | range
+    edge_order: Any  # sequence of eids
+    edge_sums: Any  # sequence of per-edge bit sums
+    edge_counts: Any  # list[int] | None (None iff order is a range)
+    total_bits: int
+    all_fit: bool  # every per-edge sum <= bandwidth
+    max_sum: int  # the largest per-edge sum (0 for an empty round)
 
 
-def _sum_bits(bits: array) -> int:
-    """Total of a staged bits column (numpy when present and worthwhile)."""
-    if _np is not None and len(bits) >= _NUMPY_MIN_BATCH:
-        return int(_np.frombuffer(bits, dtype=_np.int64).sum())
-    return sum(bits)
-
-
-def _transport_kernels(spec) -> type[StdlibKernels]:
-    """Kernel class for a transport: ``None``/``"auto"`` follows this
-    module's numpy guard (so forcing ``columnar._np = None`` flips new
-    transports to the stdlib reference); pinned specs go through
-    :func:`repro.congest.kernels.resolve_kernels` unchanged."""
-    if spec is None or spec == "auto":
-        return NumpyKernels if _np is not None else StdlibKernels
-    return resolve_kernels(spec)
+def group_round(eids: array, bits: array, bandwidth: int) -> RoundGroup:
+    """Group one staged round by directed edge (see :class:`RoundGroup`)."""
+    n = len(eids)
+    if n == 0:
+        return RoundGroup(range(0), [], [], None, 0, True, 0)
+    if n == 1:
+        b = bits[0]
+        return RoundGroup(range(1), [eids[0]], [b], None, b, b <= bandwidth, b)
+    if n == 2:
+        b0, b1 = bits[0], bits[1]
+        e0, e1 = eids[0], eids[1]
+        if e0 == e1:
+            s = b0 + b1
+            return RoundGroup(range(2), [e0], [s], None, s, s <= bandwidth, s)
+        m = b0 if b0 >= b1 else b1
+        return RoundGroup(range(2), [e0, e1], [b0, b1], None, b0 + b1, m <= bandwidth, m)
+    groups: dict[int, list[int]] = {}
+    sums: dict[int, int] = {}
+    total = 0
+    for i, eid in enumerate(eids):
+        b = bits[i]
+        total += b
+        bucket = groups.get(eid)
+        if bucket is None:
+            groups[eid] = [i]
+            sums[eid] = b
+        else:
+            bucket.append(i)
+            sums[eid] += b
+    edge_order = list(groups)
+    edge_sums = [sums[eid] for eid in edge_order]
+    if len(edge_order) == n:
+        order: Any = range(n)  # one message per edge: already grouped
+        edge_counts = None
+    else:
+        buckets = list(groups.values())
+        order = [i for bucket in buckets for i in bucket]
+        edge_counts = [len(bucket) for bucket in buckets]
+    max_sum = max(edge_sums)
+    return RoundGroup(order, edge_order, edge_sums, edge_counts, total, max_sum <= bandwidth, max_sum)
 
 
 class _EdgeQueue:
@@ -129,11 +148,11 @@ class _EdgeQueue:
     bits as of clock ``head_clock`` (the transport does *not* decrement
     it each round -- the remainder at any later clock ``c`` is
     ``head_rem - B * (c - head_clock)``, and the completion clock
-    ``head_clock + ceil(head_rem / B)`` is computed once and installed on
-    the kernel's edge-clock schedule).  ``seq`` is the edge's *activation*
-    sequence number, refreshed each time the edge goes from drained back
-    to live: it orders same-round completions exactly as the baseline
-    transport's insertion-ordered link dict does, including
+    ``head_clock + ceil(head_rem / B)`` is computed once and pushed on
+    the transport's completion-clock heap).  ``seq`` is the edge's
+    *activation* sequence number, refreshed each time the edge goes from
+    drained back to live: it orders same-round completions exactly as the
+    baseline transport's insertion-ordered link dict does, including
     drain-then-revive reinsertion at the end.
     """
 
@@ -165,29 +184,14 @@ class ColumnarTransport(LinkTransport):
       an all-fitting round with no carry-over traffic is delivered as one
       block straight from the staged columns;
     - ``rounds_until_delivery`` / ``pending_traffic`` are O(1).
-
-    Shard staging (the parallel engine's thread-local outboxes) is not
-    supported: the columnar engine is serial by design, so the staging
-    columns are single-writer.
     """
 
     #: Networks bind their tracer here (see ``CongestNetwork``) so flush
     #: can sample per-round batch sizes without an engine round-trip.
     wants_trace = True
 
-    def __init__(
-        self,
-        bandwidth: int,
-        strict: bool = False,
-        record_messages: bool = False,
-        kernels: Any = None,
-    ):
+    def __init__(self, bandwidth: int, strict: bool = False, record_messages: bool = False):
         super().__init__(bandwidth, strict=strict, record_messages=record_messages)
-        #: The kernel instance chosen once for this transport's lifetime
-        #: (it owns the edge-clock schedule; the batch ops are static).
-        self.kernels = _transport_kernels(kernels)()
-        #: Pre-bound hottest kernel op (one lookup per flush, not two).
-        self._group_round = self.kernels.group_round
         # Staging: parallel struct-of-arrays columns (see module docstring
         # for the documented column order), cleared in place per flush.  A
         # "bundle" carries a buffer set together with its bound appends so
@@ -211,6 +215,11 @@ class ColumnarTransport(LinkTransport):
         self._queues: list[_EdgeQueue] = []
         self._live = 0  # queues currently carrying traffic (excludes block)
         self._clock = 0  # rounds executed or skipped so far
+        # The edge clock: (completion clock, edge seq, eid), exactly one
+        # entry per live edge and no stale entries -- popped when (and only
+        # when) the head completes, pushed when a new head is installed.
+        # Ties pop in activation-sequence order.
+        self._heap: list[tuple[int, int, int]] = []
         self._seq = 0  # edge activation counter (orders same-round deliveries)
         # Telemetry (read by ColumnarEngine's run-end summary event).
         self.trace = None
@@ -249,7 +258,7 @@ class ColumnarTransport(LinkTransport):
             # mid-round must first account the already-staged messages so
             # the counters match the baseline's per-enqueue accounting.
             self.total_messages += len(self._stage_recs)
-            self.total_bits += self.kernels.sum_bits(self._stage_bits)
+            self.total_bits += sum(self._stage_bits)
             raise BandwidthExceeded(
                 f"message of {bits} bits exceeds B={self.bandwidth} on edge "
                 f"{sender!r}->{receiver!r}"
@@ -284,7 +293,7 @@ class ColumnarTransport(LinkTransport):
             if not receivers:
                 return
             self.total_messages += len(self._stage_recs)
-            self.total_bits += self.kernels.sum_bits(self._stage_bits)
+            self.total_bits += sum(self._stage_bits)
             raise BandwidthExceeded(
                 f"message of {bits} bits exceeds B={self.bandwidth} on edge "
                 f"{sender!r}->{receivers[0]!r}"
@@ -314,9 +323,6 @@ class ColumnarTransport(LinkTransport):
                 (round_no, sender, receiver, bits) for receiver in receivers
             )
 
-    def begin_shard_staging(self) -> None:
-        raise RuntimeError("columnar transport is single-writer; no shard staging")
-
     def has_outgoing(self) -> bool:
         return bool(self._stage_recs)
 
@@ -336,15 +342,7 @@ class ColumnarTransport(LinkTransport):
         eids = self._stage_eids
         bits_col = self._stage_bits
         recs = self._stage_recs
-        if n == 1:
-            # Single staged message (common in sparse negotiation phases):
-            # the grouping is trivial, so build it inline instead of
-            # paying two kernel dispatches.  Field-for-field identical to
-            # what either kernel's ``group_round`` returns for one row.
-            b0 = bits_col[0]
-            group = RoundGroup(_RANGE_1, (eids[0],), (b0,), None, b0, b0 <= bw, b0)
-        else:
-            group = self._group_round(eids, bits_col, bw)
+        group = group_round(eids, bits_col, bw)
         # Batched totals: the baseline counts per enqueue, but by the time
         # anything can observe them (the flush barrier -- including a
         # strict-mode failure, which counts the whole staged round first,
@@ -400,12 +398,12 @@ class ColumnarTransport(LinkTransport):
     def _commit_rows(self, eids: array, bits_col: array, recs: list[Any]) -> None:
         """The general commit: append rows to their edge queues, activating
         drained queues with a fresh sequence number (the baseline link
-        dict's drain-then-revive insertion order) and installing their head
-        completion on the kernel's edge clock."""
+        dict's drain-then-revive insertion order) and pushing their head
+        completion on the edge clock."""
         clock = self._clock
         bw = self.bandwidth
         queues = self._queues
-        kernels = self.kernels
+        heap = self._heap
         for i, eid in enumerate(eids):
             queue = queues[eid]
             b = bits_col[i]
@@ -419,7 +417,7 @@ class ColumnarTransport(LinkTransport):
                 queue.head = 0
                 queue.head_clock = clock
                 queue.head_rem = b
-                kernels.clock_install(eid, clock + -(-b // bw), self._seq)
+                heappush(heap, (clock + -(-b // bw), self._seq, eid))
 
     def _materialize_block(self) -> None:
         """Convert the pending block into live per-edge queues -- the state
@@ -491,10 +489,15 @@ class ColumnarTransport(LinkTransport):
             return {}
         inboxes = defaultdict(list)
         queues = self._queues
+        heap = self._heap
         completed = 0
         round_bits = 0
         max_used = 0
-        for eid in self.kernels.clock_due(clock):
+        # Pop the edges completing now, in activation-sequence order.  A
+        # re-installed head completes at clock + 1 or later, so it never
+        # re-enters this loop.
+        while heap and heap[0][0] == clock:
+            eid = heappop(heap)[2]
             queue = queues[eid]
             completed += 1
             # Remaining at the start of this round, derived lazily: the
@@ -522,7 +525,7 @@ class ColumnarTransport(LinkTransport):
                 queue.head = i
                 queue.head_clock = clock
                 queue.head_rem = bits_list[i] - budget
-                self.kernels.clock_install(eid, clock + -(-queue.head_rem // bw), queue.seq)
+                heappush(heap, (clock + -(-queue.head_rem // bw), queue.seq, eid))
                 if i > 32 and 2 * i > total:
                     del recs[:i]
                     del bits_list[:i]
@@ -549,12 +552,12 @@ class ColumnarTransport(LinkTransport):
 
     def rounds_until_delivery(self) -> int | None:
         """O(1): a pending block completes next round; otherwise the
-        kernel clock's earliest completion minus the current clock."""
+        edge clock's earliest completion minus the current clock."""
         if self._block is not None:
             return 1
         if self._live == 0:
             return None
-        return self.kernels.clock_min() - self._clock
+        return self._heap[0][0] - self._clock
 
     def skip_rounds(self, rounds: int) -> int:
         """Account a quiet stretch without touching any edge state.
@@ -575,7 +578,7 @@ class ColumnarTransport(LinkTransport):
             )
         live = self._live
         if live:
-            completion, eid = self.kernels.clock_min_edge()
+            completion, _seq, eid = self._heap[0]
             if rounds >= completion - self._clock:
                 queue = self._queues[eid]
                 remaining = queue.head_rem - bw * (self._clock - queue.head_clock)
@@ -625,24 +628,10 @@ class MinEdgeIndex:
     per-neighbour minimum (unique keys make the minimum iteration-order
     independent), at amortised O(edges log edges) total build cost per
     network instead of O(degree) key tuples per node per iteration.
-
-    With numpy kernels, nodes of degree >=
-    :data:`~repro.congest.kernels.NUMPY_MIN_DEGREE` answer the query as a
-    masked first-eligible reduction over the key-sorted parallel repr
-    column (the first eligible entry *is* the argmin, keys being sorted
-    and unique); smaller nodes keep the early-exit prefix scan, which
-    wins below that size.  Both paths return identical results.
     """
 
-    def __init__(self, graph, weight_key: str = "weight", kernels: Any = None):
-        self._kernels = kernels if kernels is not None else StdlibKernels
-        use_numpy = getattr(self._kernels, "name", "stdlib") == "numpy"
+    def __init__(self, graph, weight_key: str = "weight"):
         self._incident: dict[Hashable, list[tuple[tuple, Hashable, str]]] = {}
-        #: Key-sorted neighbour-repr column per node (parallel to
-        #: ``_incident[u]``), the input to the masked reduction.
-        self._reprs: dict[Hashable, list[str]] = {}
-        #: Nodes answered by the kernel reduction instead of the scan.
-        self._vector_nodes: set = set()
         edges = graph.edges
         for u in graph.nodes():
             u_repr = repr(u)
@@ -654,25 +643,13 @@ class MinEdgeIndex:
                 entries.append(((weight, a, b), v, v_repr))
             entries.sort(key=lambda entry: entry[0])
             self._incident[u] = entries
-            self._reprs[u] = [entry[2] for entry in entries]
-            if use_numpy and len(entries) >= NUMPY_MIN_DEGREE:
-                self._vector_nodes.add(u)
 
     def min_outgoing(self, node_id: Hashable, label_of: dict, my_label) -> tuple | None:
         """Mirror of ``mst._min_outgoing``: lightest incident edge whose
         neighbour's label differs (labels compared with ``==``; unknown
         neighbours default to ``my_label`` and are skipped).  Returns
         ``(key, node_id, neighbour)`` or ``None``."""
-        entries = self._incident[node_id]
-        if node_id in self._vector_nodes:
-            get = label_of.get
-            flags = [get(r, my_label) != my_label for r in self._reprs[node_id]]
-            i = self._kernels.first_eligible(flags)
-            if i < 0:
-                return None
-            key, neighbor, _ = entries[i]
-            return (key, node_id, neighbor)
-        for key, neighbor, neighbor_repr in entries:
+        for key, neighbor, neighbor_repr in self._incident[node_id]:
             if label_of.get(neighbor_repr, my_label) == my_label:
                 continue
             return (key, node_id, neighbor)
@@ -685,19 +662,7 @@ class MinEdgeIndex:
         and tree-edge neighbours (``exclude_reprs``) skipped.  Returns
         ``(key, neighbour, neighbour_label)`` or ``None``."""
         my_repr = repr(my_label)
-        entries = self._incident[node_id]
-        if node_id in self._vector_nodes:
-            get = label_of.get
-            flags = [
-                r not in exclude_reprs and repr(get(r, my_label)) != my_repr
-                for r in self._reprs[node_id]
-            ]
-            i = self._kernels.first_eligible(flags)
-            if i < 0:
-                return None
-            key, neighbor, neighbor_repr = entries[i]
-            return (key, neighbor, label_of.get(neighbor_repr, my_label))
-        for key, neighbor, neighbor_repr in entries:
+        for key, neighbor, neighbor_repr in self._incident[node_id]:
             other_label = label_of.get(neighbor_repr, my_label)
             if repr(other_label) == my_repr or neighbor_repr in exclude_reprs:
                 continue

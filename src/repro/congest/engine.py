@@ -2,8 +2,8 @@
 
 The middle of the three-layer CONGEST stack.  An :class:`Engine` decides
 *which* nodes are stepped *when*; the transport (bit accounting) below and
-the program API (algorithm logic) above are engine-agnostic, so both
-engines produce the same :class:`RunResult` for the same program:
+the program API (algorithm logic) above are engine-agnostic, so every
+engine produces the same :class:`RunResult` for the same program:
 
 - :class:`DenseEngine` -- the reference semantics: every non-halted node is
   stepped every round.  Cost grows with ``n x rounds`` even when almost
@@ -14,12 +14,6 @@ engines produce the same :class:`RunResult` for the same program:
   Rounds in which nothing happens are skipped in O(1) by jumping the clock
   to the next delivery or program wake-up, with the transport accounting
   the skipped stretch exactly.
-- :class:`ParallelEngine` -- the event engine's active-set semantics with
-  the per-round step phase sharded across a thread pool.  Nodes are
-  share-nothing within a round (each step touches only its own node, rng
-  and staged sends), so shards run concurrently; outboxes are merged at
-  the round barrier in node-id order, keeping every metric -- including
-  the opt-in message log -- byte-identical to the serial engines.
 - :class:`ColumnarEngine` -- the event engine's clock over the
   struct-of-arrays :class:`~repro.congest.columnar.ColumnarTransport`
   (flat staging columns, lazy per-edge head accounting, a completion-clock
@@ -28,10 +22,12 @@ engines produce the same :class:`RunResult` for the same program:
   declare their transport via the ``transport_class`` attribute and their
   reduction opt-in via ``uses_min_edge_index``; the network builds both.
 
-All engines express a round's work as a :class:`StepPlan` (the batched step
-ABI): the ordered active set plus that round's inboxes.  :func:`step_batch`
-is the one inner loop that actually calls ``on_round``; serial engines run
-it over the whole plan, the parallel engine over contiguous shards of it.
+All engines express a round's work as a :class:`StepPlan`: the ordered
+active set plus that round's inboxes.  :func:`step_batch` is the one inner
+loop that actually calls ``on_round``.
+
+``engine="auto"`` picks dense for tiny instances (at most
+:data:`AUTO_DENSE_NODES` nodes) and columnar otherwise.
 
 Equivalence contract: a program's idleness hint must only skip rounds whose
 ``on_round`` call would have been a no-op (no sends, no halting, no change
@@ -43,15 +39,10 @@ by the cross-engine equivalence suite (``tests/test_engine_equivalence.py``).
 from __future__ import annotations
 
 import heapq
-import os
-import sys
-import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Hashable, Sequence
+from typing import TYPE_CHECKING, Any, Hashable
 
-from repro.congest.columnar import ColumnarTransport, _transport_kernels
-from repro.congest.kernels import numpy_available
+from repro.congest.columnar import ColumnarTransport
 from repro.congest.transport import LinkTransport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -88,13 +79,13 @@ class RunResult:
 
 @dataclass
 class StepPlan:
-    """One round's batch of node steps: the batched step ABI.
+    """One round's batch of node steps.
 
     ``node_ids`` is the active set in canonical (node-id) order, already
     filtered to non-halted nodes; ``inboxes`` maps node id to that round's
-    deliveries.  A plan is immutable input to the step phase: any engine --
-    serial or sharded -- that executes it via :func:`step_batch` produces
-    the same program-visible behaviour.
+    deliveries.  A plan is immutable input to the step phase: any engine
+    that executes it via :func:`step_batch` produces the same
+    program-visible behaviour.
     """
 
     round_no: int
@@ -102,22 +93,17 @@ class StepPlan:
     inboxes: dict[Hashable, list["Received"]]
 
 
-def step_batch(
-    network: "CongestNetwork", plan: StepPlan, node_ids: Sequence[Hashable] | None = None
-) -> int:
-    """Step ``node_ids`` (default: the whole plan) serially; returns the
-    number of nodes stepped.
+def step_batch(network: "CongestNetwork", plan: StepPlan) -> int:
+    """Step the plan's nodes in plan order; returns the number stepped.
 
-    The single ``on_round`` dispatch loop shared by every engine.  A shard
-    of a parallel round is just a contiguous slice of ``plan.node_ids``
-    passed through ``node_ids``; within the slice nodes step in plan order.
+    The single ``on_round`` dispatch loop shared by every engine.
     """
     nodes = network.nodes
     programs = network.programs
     inboxes = plan.inboxes
     round_no = plan.round_no
     stepped = 0
-    for nid in plan.node_ids if node_ids is None else node_ids:
+    for nid in plan.node_ids:
         node = nodes[nid]
         if node.halted:
             continue
@@ -154,16 +140,6 @@ class Engine:
 
     def run(self, network: "CongestNetwork", max_rounds: int, stop_on_quiescence: bool) -> RunResult:
         raise NotImplementedError
-
-    def build_transport(self, bandwidth: int, strict: bool = False, record_messages: bool = False):
-        """Construct this engine's transport.  Engines whose transport takes
-        extra configuration (the columnar engine's kernel choice) override
-        this instead of making the network aware of it."""
-        return self.transport_class(bandwidth, strict=strict, record_messages=record_messages)
-
-    def _execute_plan(self, network: "CongestNetwork", plan: StepPlan) -> None:
-        """Run one round's step phase; subclasses may shard or batch it."""
-        step_batch(network, plan)
 
     def _result(self, network: "CongestNetwork", rounds: int) -> RunResult:
         transport = network.transport
@@ -213,9 +189,6 @@ class DenseEngine(Engine):
     def __init__(self) -> None:
         self.node_steps = 0
 
-    def _execute_plan(self, network: "CongestNetwork", plan: StepPlan) -> None:
-        self.node_steps += step_batch(network, plan)
-
     def run(self, network: "CongestNetwork", max_rounds: int, stop_on_quiescence: bool) -> RunResult:
         transport = network.transport
         trace = network.trace
@@ -260,7 +233,7 @@ class DenseEngine(Engine):
                 ],
                 inboxes,
             )
-            self._execute_plan(network, plan)
+            self.node_steps += step_batch(network, plan)
             transport.flush()
             if tracing:
                 trace.emit(
@@ -296,9 +269,6 @@ class EventEngine(Engine):
     def __init__(self) -> None:
         self.node_steps = 0
         self.skipped_rounds = 0
-
-    def _execute_plan(self, network: "CongestNetwork", plan: StepPlan) -> None:
-        self.node_steps += step_batch(network, plan)
 
     def _skip(self, network: "CongestNetwork", after_round: int, rounds: int) -> None:
         """Jump ``rounds`` quiet rounds, counting and tracing the stretch."""
@@ -420,10 +390,7 @@ class EventEngine(Engine):
                 ),
                 inboxes,
             )
-            # The step phase: share-nothing within the round, so subclasses
-            # may shard it across threads.  Bookkeeping (halt accounting and
-            # wake-up scheduling) stays serial, after the barrier.
-            self._execute_plan(network, plan)
+            self.node_steps += step_batch(network, plan)
             for nid in plan.node_ids:
                 if network.nodes[nid].halted:
                     live -= 1
@@ -443,144 +410,6 @@ class EventEngine(Engine):
                 )
 
         return self._result(network, round_no)
-
-
-class ParallelEngine(EventEngine):
-    """Active-set engine whose step phase is sharded across a thread pool.
-
-    Inherits the event engine's clock (active set, O(1) skips, quiescence
-    probing) and replaces only the step phase: each round's plan is
-    partitioned into ``threads`` contiguous shards of the node-id-ordered
-    active set, shards are stepped concurrently, and each thread's sends are
-    staged in a :class:`~repro.congest.transport.ShardOutbox` merged at the
-    round barrier in shard (= node-id) order.  Because nodes are
-    share-nothing within a round, every ``RunResult`` field -- and the
-    opt-in message log -- is identical to the serial engines, regardless of
-    thread count or interleaving.
-
-    ``threads`` defaults to the host CPU count.  Rounds whose active set is
-    smaller than ``min_parallel_nodes`` are stepped inline: a shard
-    dispatch costs more than a handful of node steps, so mostly-quiet
-    rounds should not pay for the pool.  The threshold defaults to
-    ``4 * threads`` where OS threads can actually run Python bytecode
-    concurrently (a free-threaded build), and to "never shard" on
-    GIL-serialised builds -- there the shards would serialise on the
-    interpreter lock and the dispatch overhead is pure loss, so the engine
-    sits at event-engine parity instead.  Pass ``min_parallel_nodes``
-    explicitly to force sharding regardless (as the equivalence tests do).
-    """
-
-    name = "parallel"
-
-    def __init__(self, threads: int | None = None, min_parallel_nodes: int | None = None) -> None:
-        super().__init__()
-        if threads is not None and threads < 1:
-            raise ValueError("threads must be at least 1")
-        self.threads = threads if threads is not None else (os.cpu_count() or 1)
-        if min_parallel_nodes is not None:
-            self.min_parallel_nodes: float = max(1, min_parallel_nodes)
-        elif getattr(sys, "_is_gil_enabled", lambda: True)():
-            self.min_parallel_nodes = float("inf")
-        else:
-            self.min_parallel_nodes = 4 * self.threads
-        self._pool: ThreadPoolExecutor | None = None
-
-    def run(self, network: "CongestNetwork", max_rounds: int, stop_on_quiescence: bool) -> RunResult:
-        if self.threads == 1 or self.min_parallel_nodes == float("inf"):
-            # One shard is the event engine; likewise a threshold no round
-            # can reach (the GIL-build default).  Skip the pool entirely.
-            return super().run(network, max_rounds, stop_on_quiescence)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.threads, thread_name_prefix="congest-shard"
-        )
-        try:
-            return super().run(network, max_rounds, stop_on_quiescence)
-        finally:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def _execute_plan(self, network: "CongestNetwork", plan: StepPlan) -> None:
-        pool = self._pool
-        ids = plan.node_ids
-        if pool is None or len(ids) < self.min_parallel_nodes:
-            self.node_steps += step_batch(network, plan)
-            return
-        trace = network.trace
-        tracing = trace.enabled
-        shard_size = -(-len(ids) // self.threads)  # ceil: at most `threads` shards
-        shards = [ids[i : i + shard_size] for i in range(0, len(ids), shard_size)]
-        transport = network.transport
-        transport.begin_shard_staging()
-        try:
-            # The calling thread works shard 0 itself instead of blocking on
-            # the pool -- one fewer dispatch round-trip per round.
-            futures = [
-                pool.submit(self._step_shard, network, plan, shard, tracing)
-                for shard in shards[1:]
-            ]
-            try:
-                first = self._step_shard(network, plan, shards[0], tracing)
-            finally:
-                # Barrier: every shard must have stopped touching the
-                # transport before staging ends, even if one raised.
-                wait(futures)
-        finally:
-            transport.end_shard_staging()
-        results = [first] + [future.result() for future in futures]
-        # Merge in shard (= node-id) order, stopping at the earliest failed
-        # shard: the merged staging -- totals, message log -- then matches
-        # what the serial engines would have accumulated up to the failing
-        # node's step, and that shard's error propagates as theirs would.
-        # (Later shards' *program* state may have advanced concurrently;
-        # only an aborting run observes that, and only via node state.)
-        merged = []
-        error = None
-        for outbox, stepped, exc, _ in results:
-            merged.append((outbox, stepped))
-            if exc is not None:
-                error = exc
-                break
-        merge_t0 = time.perf_counter() if tracing else 0.0
-        transport.merge_shard_outboxes(box for box, _ in merged)
-        self.node_steps += sum(stepped for _, stepped in merged)
-        if tracing:
-            trace.emit(
-                "event",
-                name="shard_round",
-                round=plan.round_no,
-                shards=len(shards),
-                shard_nodes=[len(shard) for shard in shards],
-                shard_s=[round(r[3], 6) for r in results],
-                merge_s=round(time.perf_counter() - merge_t0, 6),
-            )
-        if error is not None:
-            raise error
-
-    @staticmethod
-    def _step_shard(
-        network: "CongestNetwork", plan: StepPlan, shard: list[Hashable], timed: bool = False
-    ):
-        """Step one shard behind a thread-local outbox.
-
-        Failures are returned, not raised: the outbox must survive (it holds
-        the sends staged before the failing node, which the serial engines
-        would have counted) and the caller decides merge order and which
-        error wins.  ``timed`` adds per-shard wall-clock (two clock reads);
-        it is passed only when the run is traced so the untraced hot path
-        stays clock-free.
-        """
-        transport = network.transport
-        outbox = transport.open_shard_outbox()
-        stepped = 0
-        error: BaseException | None = None
-        t0 = time.perf_counter() if timed else 0.0
-        try:
-            stepped = step_batch(network, plan, shard)
-        except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
-            error = exc
-        finally:
-            transport.close_shard_outbox()
-        return outbox, stepped, error, (time.perf_counter() - t0 if timed else 0.0)
 
 
 class ColumnarEngine(EventEngine):
@@ -609,20 +438,6 @@ class ColumnarEngine(EventEngine):
     transport_class = ColumnarTransport
     uses_min_edge_index = True
 
-    def __init__(self, kernels: str | None = "auto") -> None:
-        super().__init__()
-        #: Kernel implementation, resolved ONCE here (never re-probed per
-        #: call): the transport's batch scans, the network's pre-sorted
-        #: min-edge index and the kernel-aware reductions all inherit it.
-        #: Resolution goes through the columnar module's gate so its
-        #: numpy-availability flag is the single source of truth.
-        self.kernels = _transport_kernels(kernels)
-
-    def build_transport(self, bandwidth: int, strict: bool = False, record_messages: bool = False):
-        return ColumnarTransport(
-            bandwidth, strict=strict, record_messages=record_messages, kernels=self.kernels
-        )
-
     def run(self, network: "CongestNetwork", max_rounds: int, stop_on_quiescence: bool) -> RunResult:
         result = super().run(network, max_rounds, stop_on_quiescence)
         # Unwrap the fault seam (if any): the columnar counters live on the
@@ -632,7 +447,6 @@ class ColumnarEngine(EventEngine):
         if trace.enabled and isinstance(transport, ColumnarTransport):
             trace.event(
                 "columnar_summary",
-                kernels=transport.kernels.name,
                 flush_batches=transport.flush_batches,
                 max_batch=transport.max_flush_messages,
                 peak_live_edges=transport.peak_live_edges,
@@ -645,11 +459,7 @@ class ColumnarEngine(EventEngine):
 _ENGINES = {
     "dense": DenseEngine,
     "event": EventEngine,
-    "parallel": ParallelEngine,
     "columnar": ColumnarEngine,
-    # Kernel-pinned columnar variants (lockstep tests, benchmarks, CI legs).
-    "columnar-stdlib": lambda: ColumnarEngine(kernels="stdlib"),
-    "columnar-numpy": lambda: ColumnarEngine(kernels="numpy"),
     # Resolved from the workload shape in get_engine(); the entry exists so
     # the name appears in listings and in the unknown-engine error.
     "auto": None,
@@ -662,29 +472,24 @@ AUTO_DENSE_NODES = 8
 
 
 def _auto_engine(graph) -> Engine:
-    """Pick an engine from the workload shape and numpy availability.
-
-    Tiny instances run dense (reference semantics, nothing to amortise).
-    With numpy importable, everything else runs the columnar engine on the
-    numpy kernels.  Without numpy, mid-size instances stay on the event
-    engine: the columnar layout's margin over it comes mostly from the
-    batch kernels, so there is little to gain by switching layouts.
-    """
+    """Pick an engine from the workload shape: tiny instances run dense
+    (reference semantics, nothing to amortise), everything else -- and a
+    call without a graph -- runs columnar."""
     if graph is not None and graph.number_of_nodes() <= AUTO_DENSE_NODES:
         return DenseEngine()
-    if numpy_available():
-        return ColumnarEngine(kernels="numpy")
-    return EventEngine()
+    return ColumnarEngine()
 
 
 def get_engine(spec: str | Engine, threads: int | None = None, *, graph=None) -> Engine:
     """Resolve an engine spec: an :class:`Engine` instance or a name.
 
-    ``threads`` sizes the :class:`ParallelEngine` pool; it is ignored for
-    engines (and instances) that do not take a thread count.  ``graph``
-    (optional) lets ``spec="auto"`` see the workload it is choosing for;
-    without it, auto falls back to numpy availability alone.
+    ``graph`` (optional) lets ``spec="auto"`` see the workload it is
+    choosing for.  ``threads`` must be ``None``: every engine steps its
+    nodes on the calling thread, and a thread count is rejected rather
+    than silently ignored.
     """
+    if threads is not None:
+        raise ValueError(f"engines take no thread count (got threads={threads!r})")
     if isinstance(spec, Engine):
         return spec
     if spec == "auto":
@@ -693,6 +498,4 @@ def get_engine(spec: str | Engine, threads: int | None = None, *, graph=None) ->
         cls = _ENGINES[spec]
     except KeyError:
         raise ValueError(f"unknown engine {spec!r}; known: {sorted(_ENGINES)}") from None
-    if cls is ParallelEngine:
-        return ParallelEngine(threads=threads)
     return cls()

@@ -15,8 +15,8 @@ wrapper stages each round's sends itself, applies the faults to the staged
 sequence (which every engine produces in the same canonical order), and
 re-emits the survivors into the wrapped transport in the original global
 staging order.  Since all transports are already proven byte-identical for
-identical enqueue sequences, every engine (dense / event / parallel /
-columnar) produces **byte-identical faulted runs** for the same plan.
+identical enqueue sequences, every engine (dense / event / columnar)
+produces **byte-identical faulted runs** for the same plan.
 
 **Fault semantics.**
 
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Any, Hashable, Iterable, NamedTuple
 
@@ -465,24 +464,11 @@ class FaultStats:
         }
 
 
-class _FaultShardOutbox:
-    """Thread-local staging for one shard of a parallel round (the
-    wrapper's analogue of :class:`~repro.congest.transport.ShardOutbox`)."""
-
-    __slots__ = ("staged", "log", "n_messages", "bits")
-
-    def __init__(self) -> None:
-        self.staged: list[tuple[Hashable, Hashable, Any, int, int]] = []
-        self.log: list[tuple[int, Hashable, Hashable, int]] = []
-        self.n_messages = 0
-        self.bits = 0
-
-
 class FaultyTransport:
     """A transport wrapper that injects a :class:`FaultPlan` at the flush.
 
-    Implements the full transport API (staging, delivery, skip accounting,
-    parallel shard staging) by staging each round's sends itself, applying
+    Implements the full transport API (staging, delivery, skip accounting)
+    by staging each round's sends itself, applying
     the plan's message faults to the staged sequence at :meth:`flush`, and
     re-emitting the survivors -- in the original global staging order -- into
     the wrapped transport.  ``total_messages`` / ``total_bits`` / the opt-in
@@ -520,7 +506,6 @@ class FaultyTransport:
         self.message_log: list[tuple[int, Hashable, Hashable, int]] = []
         self._staged: list[tuple[Hashable, Hashable, Any, int, int]] = []
         self._round = 0
-        self._shard_staging: threading.local | None = None
 
     # -- delegated configuration / metrics -------------------------------------
 
@@ -565,16 +550,6 @@ class FaultyTransport:
                 f"message of {bits} bits exceeds B={self.bandwidth} on edge "
                 f"{sender!r}->{receiver!r}"
             )
-        staging = self._shard_staging
-        if staging is not None:
-            box = getattr(staging, "box", None)
-            if box is not None:
-                box.staged.append((sender, receiver, payload, bits, round_no))
-                box.n_messages += 1
-                box.bits += bits
-                if self.record_messages:
-                    box.log.append((round_no, sender, receiver, bits))
-                return
         self._staged.append((sender, receiver, payload, bits, round_no))
         self.total_messages += 1
         self.total_bits += bits
@@ -589,41 +564,6 @@ class FaultyTransport:
     def has_outgoing(self) -> bool:
         """Whether anything is staged but not yet flushed."""
         return bool(self._staged) or self.inner.has_outgoing()
-
-    # -- parallel staging (thread-sharded engines) -----------------------------
-
-    def begin_shard_staging(self) -> None:
-        """Enter parallel-staging mode (see ``LinkTransport``)."""
-        self._shard_staging = threading.local()
-
-    def open_shard_outbox(self) -> _FaultShardOutbox:
-        """Bind a fresh outbox to the calling thread; returns it for merging."""
-        staging = self._shard_staging
-        if staging is None:
-            raise RuntimeError("open_shard_outbox outside begin/end_shard_staging")
-        box = _FaultShardOutbox()
-        staging.box = box
-        return box
-
-    def close_shard_outbox(self) -> None:
-        """Unbind the calling thread's outbox (contents stay mergeable)."""
-        if self._shard_staging is not None:
-            self._shard_staging.box = None
-
-    def end_shard_staging(self) -> None:
-        """Leave parallel-staging mode."""
-        self._shard_staging = None
-
-    def merge_shard_outboxes(self, outboxes: Iterable[_FaultShardOutbox]) -> None:
-        """Fold shard outboxes into the staged sequence in the given (node-id)
-        order, so fault decisions see the same per-edge indices as a serial
-        round would."""
-        for box in outboxes:
-            self._staged.extend(box.staged)
-            self.total_messages += box.n_messages
-            self.total_bits += box.bits
-            if self.record_messages:
-                self.message_log.extend(box.log)
 
     # -- the fault seam --------------------------------------------------------
 

@@ -17,9 +17,7 @@ The implementation is split into three layers (see each module's docstring):
 - :mod:`repro.congest.engine` -- pluggable round schedulers: the reference
   :class:`~repro.congest.engine.DenseEngine` (every node, every round), the
   default :class:`~repro.congest.engine.EventEngine` (active-node set,
-  O(1) skips over quiet rounds),
-  :class:`~repro.congest.engine.ParallelEngine` (the event clock with the
-  step phase sharded across a thread pool) and
+  O(1) skips over quiet rounds) and
   :class:`~repro.congest.engine.ColumnarEngine` (the event clock over the
   struct-of-arrays :mod:`repro.congest.columnar` transport with batched
   min-edge reductions);
@@ -28,12 +26,11 @@ The implementation is split into three layers (see each module's docstring):
   engine exploits.
 
 :class:`CongestNetwork` wires the three together; pick the engine with the
-``engine="event"|"dense"|"parallel"|"columnar"`` kwarg (``engine_threads``
-sizes the parallel pool).  All engines produce identical
-:class:`RunResult`\\ s for the same program -- ``dense`` is the reference
-to cross-check against, ``event`` the fast default, ``parallel`` the
-sharded stepper for hardware with real thread parallelism, ``columnar``
-the struct-of-arrays hot path for big message-heavy runs.
+``engine="event"|"dense"|"columnar"|"auto"`` kwarg.  All engines produce
+identical :class:`RunResult`\\ s for the same program -- ``dense`` is the
+reference to cross-check against, ``event`` the default, ``columnar`` the
+struct-of-arrays hot path for big message-heavy runs, and ``auto`` picks
+dense for tiny graphs and columnar otherwise.
 """
 
 from __future__ import annotations
@@ -67,7 +64,6 @@ class CongestNetwork:
         inputs: dict[Hashable, Any] | None = None,
         weight: str = "weight",
         engine: str | Engine = "event",
-        engine_threads: int | None = None,
         record_messages: bool = False,
         trace: Tracer | None = None,
         faults: FaultPlan | None = None,
@@ -100,8 +96,8 @@ class CongestNetwork:
         # Engine first: it declares the transport layout it runs against
         # (LinkTransport by default, the struct-of-arrays ColumnarTransport
         # for the columnar engine).
-        self.engine = get_engine(engine, threads=engine_threads, graph=graph)
-        self.transport = self.engine.build_transport(
+        self.engine = get_engine(engine, graph=graph)
+        self.transport = self.engine.transport_class(
             bandwidth, strict=strict, record_messages=record_messages
         )
         if faults is not None:
@@ -142,9 +138,7 @@ class CongestNetwork:
         in via ``uses_min_edge_index`` (see the MST programs)."""
         index = self._min_edge_index
         if index is None:
-            index = self._min_edge_index = MinEdgeIndex(
-                self.graph, self.weight_key, kernels=getattr(self.engine, "kernels", None)
-            )
+            index = self._min_edge_index = MinEdgeIndex(self.graph, self.weight_key)
         return index
 
     # -- metrics (owned by the transport) --------------------------------------
@@ -269,7 +263,6 @@ def run_program(
     max_rounds: int = 100_000,
     strict: bool = False,
     engine: str | Engine = "event",
-    engine_threads: int | None = None,
     record_messages: bool = False,
     trace: Tracer | None = None,
     faults: FaultPlan | None = None,
@@ -284,7 +277,6 @@ def run_program(
         seed=seed,
         inputs=inputs,
         engine=engine,
-        engine_threads=engine_threads,
         record_messages=record_messages,
         trace=trace,
         faults=faults,

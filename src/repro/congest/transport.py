@@ -7,7 +7,7 @@ bit: strict-mode bandwidth checks, message chunking over ``ceil(bits/B)``
 rounds, the run metrics (``total_bits``, ``per_round_bits``,
 ``max_edge_bits_per_round``) and the optional per-message log.
 
-Engines drive it through four operations:
+Engines drive it through three operations:
 
 - :meth:`enqueue` / :meth:`flush` -- stage a round's sends, then commit them
   to the link buffers (strict mode validates the per-edge round budget at
@@ -18,20 +18,11 @@ Engines drive it through four operations:
   fast path: because links drain deterministically at ``B`` bits per round,
   a stretch of rounds in which no message completes can be accounted in one
   call (each busy link moves exactly ``B`` bits per skipped round), keeping
-  the metrics bit-identical to a round-by-round advance;
-- :meth:`begin_shard_staging` / :meth:`open_shard_outbox` /
-  :meth:`merge_shard_outboxes` -- the parallel-stepping path: while a round's
-  node shards run on worker threads, each thread's sends are staged in a
-  thread-local :class:`ShardOutbox` instead of the shared structures, then
-  merged at the round barrier in an engine-chosen deterministic order.  The
-  strict per-message check still fires inside the sending node's step; the
-  totals, the per-edge flush check and the opt-in message log are applied at
-  the merge, so they are byte-identical to a serial execution.
+  the metrics bit-identical to a round-by-round advance.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict, deque
 from typing import Any, Hashable, Iterable
 
@@ -40,24 +31,6 @@ from repro.congest.message import Received, _InFlight
 
 class BandwidthExceeded(RuntimeError):
     """Raised in strict mode when a round's traffic on an edge exceeds B."""
-
-
-class ShardOutbox:
-    """Thread-local staging for one shard of a parallel round.
-
-    Worker threads append here instead of touching the transport's shared
-    counters; :meth:`LinkTransport.merge_shard_outboxes` folds the boxes back
-    in at the round barrier.  Messages keep their per-node send order, so a
-    merge in node-id order reproduces the serial engines' state exactly.
-    """
-
-    __slots__ = ("messages", "log", "n_messages", "bits")
-
-    def __init__(self) -> None:
-        self.messages: list[_InFlight] = []
-        self.log: list[tuple[int, Hashable, Hashable, int]] = []
-        self.n_messages = 0
-        self.bits = 0
 
 
 class LinkTransport:
@@ -87,9 +60,6 @@ class LinkTransport:
         #: (round_sent, sender, receiver, bits) per message; only populated
         #: when ``record_messages`` is set (the list grows unboundedly).
         self.message_log: list[tuple[int, Hashable, Hashable, int]] = []
-        # Non-None only while a parallel engine steps a round's shards on
-        # worker threads; each thread's ShardOutbox hangs off this local.
-        self._shard_staging: threading.local | None = None
 
     # -- staging ---------------------------------------------------------------
 
@@ -100,16 +70,6 @@ class LinkTransport:
                 f"message of {bits} bits exceeds B={self.bandwidth} on edge "
                 f"{sender!r}->{receiver!r}"
             )
-        staging = self._shard_staging
-        if staging is not None:
-            box = getattr(staging, "box", None)
-            if box is not None:
-                box.messages.append(_InFlight(sender, receiver, payload, bits, bits))
-                box.n_messages += 1
-                box.bits += bits
-                if self.record_messages:
-                    box.log.append((round_no, sender, receiver, bits))
-                return
         self._outgoing.append(_InFlight(sender, receiver, payload, bits, bits))
         self.total_messages += 1
         self.total_bits += bits
@@ -125,43 +85,6 @@ class LinkTransport:
         """
         for receiver in receivers:
             self.enqueue(sender, receiver, payload, bits, round_no)
-
-    # -- parallel staging (thread-sharded engines) -----------------------------
-
-    def begin_shard_staging(self) -> None:
-        """Enter parallel-staging mode: sends from threads that opened a
-        :class:`ShardOutbox` are staged there instead of the shared state."""
-        self._shard_staging = threading.local()
-
-    def open_shard_outbox(self) -> ShardOutbox:
-        """Bind a fresh outbox to the calling thread; returns it for merging."""
-        staging = self._shard_staging
-        if staging is None:
-            raise RuntimeError("open_shard_outbox outside begin/end_shard_staging")
-        box = ShardOutbox()
-        staging.box = box
-        return box
-
-    def close_shard_outbox(self) -> None:
-        """Unbind the calling thread's outbox (its contents stay mergeable)."""
-        if self._shard_staging is not None:
-            self._shard_staging.box = None
-
-    def end_shard_staging(self) -> None:
-        """Leave parallel-staging mode (all shard threads must have finished)."""
-        self._shard_staging = None
-
-    def merge_shard_outboxes(self, outboxes: Iterable[ShardOutbox]) -> None:
-        """Fold shard outboxes into the shared staging state, in the given
-        order.  Engines pass shards in node-id order, which makes the
-        ``_outgoing`` sequence -- and therefore the strict flush check and
-        the opt-in message log -- byte-identical to a serial round."""
-        for box in outboxes:
-            self._outgoing.extend(box.messages)
-            self.total_messages += box.n_messages
-            self.total_bits += box.bits
-            if self.record_messages:
-                self.message_log.extend(box.log)
 
     def flush(self) -> None:
         """Commit the staged sends to the link buffers (round barrier)."""

@@ -5,7 +5,7 @@ Examples::
     python -m repro.experiments list
     python -m repro.experiments run fig3-mst-tradeoff --workers 4
     python -m repro.experiments run chsh-gamma2 --set restarts=1,4,16 --replicates 3
-    python -m repro.experiments run boruvka-mst-sweep --engine parallel --engine-threads 4
+    python -m repro.experiments run boruvka-mst-sweep --engine columnar
     python -m repro.experiments run fig3-mst-tradeoff --backend queue \\
         --queue-dir /shared/q --workers 0          # external daemons drain it
     python -m repro.experiments worker /shared/q --store worker-shard
@@ -37,6 +37,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+from repro.congest.engine import _ENGINES
 from repro.experiments.backends import BACKEND_NAMES, run_fleet, run_worker
 from repro.experiments.registry import ScenarioNotFound, get_scenario, list_scenarios
 from repro.experiments.runner import run_sweep
@@ -101,25 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=1, help="process-pool size (1 = serial)")
     run.add_argument(
         "--engine",
-        choices=(
-            "event",
-            "dense",
-            "parallel",
-            "columnar",
-            "columnar-stdlib",
-            "columnar-numpy",
-            "auto",
-        ),
+        choices=tuple(_ENGINES),
         default=None,
         help="CONGEST engine axis (scenarios declaring an `engine` param only); "
-        "`auto` picks from the instance size and numpy availability",
-    )
-    run.add_argument(
-        "--engine-threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard threads for --engine parallel (0 = cpu count)",
+        "`auto` picks from the instance size",
     )
     run.add_argument(
         "--fault-seed",
@@ -380,12 +366,10 @@ def _cmd_list() -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     scn = get_scenario(args.scenario)
     grid = parse_axis_overrides(args.overrides)
-    # --engine/--engine-threads are sugar for grid axes; expand_grid rejects
-    # them with a clean error if the scenario does not declare the params.
+    # --engine is sugar for a grid axis; expand_grid rejects it with a
+    # clean error if the scenario does not declare the param.
     if args.engine is not None:
         grid["engine"] = [args.engine]
-    if args.engine_threads is not None:
-        grid["engine_threads"] = [args.engine_threads]
     if args.fault_seed is not None:
         grid["fault_seed"] = [args.fault_seed]
     points = expand_grid(scn, grid, replicates=args.replicates, base_seed=args.base_seed)

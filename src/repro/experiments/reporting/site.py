@@ -8,7 +8,7 @@ each scenario to ``OUT_DIR/<scenario>.html`` and the cross-scenario
 summary to ``OUT_DIR/index.html``, and returns the index path.
 
 Benchmark JSON files (the ``BENCH_*.json`` artifacts written by
-``benchmarks/engine_speedup.py`` / ``engine_parallel.py`` /
+``benchmarks/engine_speedup.py`` / ``engine_columnar.py`` /
 ``backend_drain.py``) can ride along: :func:`extract_speedups` walks any
 of their shapes for ``speedup`` measurements and the site turns them into
 an engine-speedup bar chart on the index page.
@@ -36,7 +36,7 @@ def extract_speedups(data, context: str = "") -> list[tuple[str, float]]:
     The BENCH files have grown shape by shape (PR 2's single
     ``engine_comparison`` object, PR 4's ``comparisons`` list, ...), so
     this walks the whole document: any mapping carrying a numeric
-    ``speedup`` (or a kernel-replay ``speedup_vs_event``) contributes one
+    ``speedup`` (or a transport-replay ``speedup_vs_event``) contributes one
     measurement, labelled by the nearest ``scenario``/``benchmark``/
     ``group`` names and a ``threads`` count when present.
     """

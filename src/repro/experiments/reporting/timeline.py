@@ -1,17 +1,14 @@
 """Timeline pages: render JSONL traces into round-activity charts.
 
 Turns the traces the :mod:`repro.obs` subsystem writes (engine ``round``
-samples, ``skip`` stretches, ``shard_round`` events from the parallel
-engine, ``task`` lifecycle lines from sweeps and queue daemons) into a
-self-contained HTML page on the existing SVG chart kit:
+samples, ``skip`` stretches, ``task`` lifecycle lines from sweeps and
+queue daemons) into a self-contained HTML page on the existing SVG chart
+kit:
 
 - **round activity** -- active-set size and delivered messages per round,
   the profile that distinguishes a dense phase from a quiet tail;
 - **bits per round** -- sent vs moved bits, the CONGEST cost profile the
   paper's spanner constructions are evaluated by;
-- **shard utilization** -- per-shard step wall-clock and the merge cost of
-  every parallel round, the view built to answer "is the parallel engine
-  losing to imbalance, merge cost, or the GIL";
 - **task lifecycle** -- submitted/leased/running/done points over wall
   time for sweep and worker traces;
 - **fleet utilization** -- gauge levels over wall time (``spool_depth``,
@@ -30,7 +27,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.experiments.reporting.html import _page, escape, fmt_value
-from repro.experiments.reporting.svg import PALETTE, Series, render_plot
+from repro.experiments.reporting.svg import Series, render_plot
 from repro.obs.trace import read_trace, summarize_trace, trace_files
 
 
@@ -64,38 +61,6 @@ def round_charts(label: str, events: list[dict[str, Any]]) -> list[str]:
         ),
     ]
     return charts
-
-
-def shard_chart(label: str, events: list[dict[str, Any]]) -> str | None:
-    """Per-shard step wall-clock (and merge cost) per parallel round."""
-    shard_rounds = [
-        e for e in events if e.get("kind") == "event" and e.get("name") == "shard_round"
-    ]
-    if not shard_rounds:
-        return None
-    n_shards = max(len(e.get("shard_s", [])) for e in shard_rounds)
-    # One series per shard, capped to leave a palette slot for the merge.
-    shown = min(n_shards, len(PALETTE) - 1)
-    series = [
-        Series.of(
-            f"shard {i}",
-            [
-                (e["round"], 1000.0 * e["shard_s"][i])
-                for e in shard_rounds
-                if i < len(e.get("shard_s", []))
-            ],
-        )
-        for i in range(shown)
-    ]
-    series.append(
-        Series.of("merge", [(e["round"], 1000.0 * e.get("merge_s", 0.0)) for e in shard_rounds])
-    )
-    return render_plot(
-        f"Shard utilization — {label}",
-        series,
-        x_label="round",
-        y_label="step time (ms)",
-    )
 
 
 def task_chart(label: str, events: list[dict[str, Any]]) -> str | None:
@@ -177,9 +142,6 @@ def trace_section(label: str, events: list[dict[str, Any]]) -> str:
             f"<th>node steps</th><th>total bits</th></tr></thead><tbody>{rows}</tbody></table>"
         )
     charts = round_charts(label, events)
-    shard = shard_chart(label, events)
-    if shard:
-        charts.append(shard)
     tasks = task_chart(label, events)
     if tasks:
         charts.append(tasks)

@@ -37,7 +37,7 @@ from repro.core.gamma2 import gamma2_dual
 from repro.core.nonlocal_games import chsh_game
 from repro.core.server_model import StructuredServerProtocol, two_party_simulation_of_server
 from repro.core.simulation_theorem import SimulationTheoremNetwork
-from repro.congest.engine import Engine, get_engine
+from repro.congest.engine import _ENGINES, Engine, get_engine
 from repro.experiments.registry import ParamSpec, PlotSpec, scenario
 from repro.graphs.generators import (
     connect_nearest_components,
@@ -50,17 +50,13 @@ from repro.graphs.spatial import GridIndex
 
 
 #: Engine-selection axes shared by the CONGEST-heavy scenarios, so sweeps
-#: can put the execution engine itself on the grid (``--engine parallel
-#: --engine-threads 4`` at the CLI).  ``engine_threads = 0`` means the
-#: engine's own default (the host CPU count for ``parallel``).
+#: can put the execution engine itself on the grid (``--engine columnar``
+#: at the CLI).  ``engine_threads`` is kept only so existing cache keys and
+#: external readers stay stable: 0 is the only accepted value, and anything
+#: else makes ``get_engine`` raise.
 ENGINE_PARAMS = (
-    ParamSpec(
-        "engine",
-        str,
-        "event",
-        "CONGEST engine: event|dense|parallel|columnar|columnar-stdlib|columnar-numpy|auto",
-    ),
-    ParamSpec("engine_threads", int, 0, "parallel-engine shard threads (0 = cpu count)"),
+    ParamSpec("engine", str, "event", "CONGEST engine: " + "|".join(_ENGINES)),
+    ParamSpec("engine_threads", int, 0, "reserved; must be 0 (engines take no thread count)"),
 )
 
 
@@ -886,10 +882,10 @@ def boruvka_mst_sweep(
     """Distributed Borůvka over SEL-Columbia/NetworkBuild-style instances.
 
     The classic homogeneous CONGEST workload: every live node participates
-    in every announce/flood/merge sub-round, which is exactly the active-set
-    shape the thread-sharded engine targets.  Exactness is checked against
-    the centralised MST weight (all minimum spanning trees share it, so the
-    check is tie-safe).
+    in every announce/flood/merge sub-round, so the active set stays large
+    and the columnar transport's batched flushes carry the run.  Exactness
+    is checked against the centralised MST weight (all minimum spanning
+    trees share it, so the check is tie-safe).
     """
     graph = _boruvka_instance(generator, weight_model, n, extra_edge_prob, aspect_ratio, seed)
     reference = sum(

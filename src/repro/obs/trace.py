@@ -250,8 +250,8 @@ class TraceWriter(Tracer):
     (``unix_time``); every other line's ``ts`` is seconds since the writer
     was created, measured on the monotonic clock, so timestamps never go
     backwards and two traces of the same run differ only in timestamp
-    fields.  Writes are locked -- parallel-engine shard threads may emit
-    concurrently.
+    fields.  Writes are locked, so one writer may be shared by several
+    threads.
     """
 
     enabled = True

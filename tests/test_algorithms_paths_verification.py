@@ -251,6 +251,17 @@ class TestElkin:
         # MST = {1, 2}: total 3.
         assert component_count_mst_weight(quantised, 3) == 3.0
 
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_component_identity_matches_networkx_mst(self, seed):
+        # Heavy class duplication: the sweep's stable sort must not matter.
+        n_classes = 12
+        graph = random_connected_graph(40, extra_edge_prob=0.2, seed=seed)
+        rng = random.Random(seed)
+        for u, v in graph.edges():
+            graph.edges[u, v]["weight"] = rng.randrange(1, n_classes + 1)
+        expected = nx.minimum_spanning_tree(graph).size(weight="weight")
+        assert component_count_mst_weight(graph, n_classes) == expected
+
 
 class TestMinCut:
     def test_global_mincut(self):

@@ -2,23 +2,27 @@
 
 The cross-engine suite (``test_engine_equivalence.py``) pins whole runs to
 the dense reference; these tests drive :class:`ColumnarTransport` directly
-against :class:`LinkTransport` on randomised edge workloads, pin the
-telemetry events and strict-mode error texts, exercise the numpy-absent
-import guard the acceptance criteria require, and check that
-:class:`MinEdgeIndex` reproduces the legacy per-neighbour minimum scans
-key for key.
+against :class:`LinkTransport` on randomised edge workloads, check the
+flush grouping (:func:`group_round`) and the edge clock's same-round
+ordering, pin the telemetry events and strict-mode error texts, exercise
+the numpy-absent import guard and the ``engine="auto"`` rules, and check
+that :class:`MinEdgeIndex` reproduces the legacy per-neighbour minimum
+scans key for key.
 """
 
-import importlib
+import os
 import random
+import subprocess
 import sys
+import textwrap
+from array import array
 
 import networkx as nx
 import pytest
 
-import repro.congest.columnar as columnar
-from repro.algorithms.mst import edge_key, run_boruvka_mst
-from repro.congest.columnar import ColumnarTransport, MinEdgeIndex, _sum_bits
+from repro.algorithms.mst import edge_key
+from repro.congest.columnar import ColumnarTransport, MinEdgeIndex, group_round
+from repro.congest.engine import AUTO_DENSE_NODES, ColumnarEngine, DenseEngine, get_engine
 from repro.congest.network import CongestNetwork, run_program
 from repro.congest.node import NodeProgram
 from repro.congest.transport import BandwidthExceeded, LinkTransport
@@ -122,6 +126,30 @@ class TestTransportLockstep:
         assert cols.per_round_bits == [0, 0, 0, 0]
         assert cols.rounds_until_delivery() is None
 
+    def test_same_round_completions_pop_in_activation_order(self):
+        # Edge ids follow first-ever send (senders 9, 2, 5); the second
+        # round re-activates the edges in the opposite order, so a clock
+        # ordered by edge id would deliver 9, 2, 5 -- the baseline (and the
+        # activation sequence) says 5, 2, 9.
+        bw = 8
+        base = LinkTransport(bw)
+        cols = ColumnarTransport(bw)
+        for t in (base, cols):
+            for sender in (9, 2, 5):
+                t.enqueue(sender, 0, ("a", sender), bw, 1)
+            t.flush()
+        assert _drain(cols) == _drain(base)
+        for t in (base, cols):
+            for sender in (5, 2, 9):
+                t.enqueue(sender, 0, ("b", sender), 2 * bw, 2)
+            t.flush()
+        assert cols.rounds_until_delivery() == base.rounds_until_delivery() == 2
+        assert _drain(cols) == _drain(base) == {}
+        delivered = _drain(cols)
+        assert delivered == _drain(base)
+        assert [sender for sender, _, _ in delivered[0]] == [5, 2, 9]
+        assert cols.rounds_until_delivery() is None
+
     def test_live_edges_tracks_queue_lifecycle(self):
         cols = ColumnarTransport(8)
         cols.enqueue(0, 1, "a", 8, 1)
@@ -160,38 +188,78 @@ class TestStrictMode:
         assert cols.pending_traffic() == base.pending_traffic() == 0
         assert cols.live_edges == 0
 
-    def test_shard_staging_is_rejected(self):
-        cols = ColumnarTransport(8)
-        with pytest.raises(RuntimeError, match="single-writer"):
-            cols.begin_shard_staging()
+
+
+def _check_group_invariants(eids, bits, bandwidth, group):
+    """Properties any correct grouping must satisfy."""
+    n = len(eids)
+    order = list(group.order)
+    assert sorted(order) == list(range(n))
+    # first-appearance edge order, FIFO within each edge
+    seen: dict[int, int] = {}
+    for i in range(n):
+        seen.setdefault(eids[i], len(seen))
+    by_first = sorted(set(eids), key=lambda e: seen[e])
+    assert list(group.edge_order) == by_first
+    sums: dict[int, int] = {}
+    for eid, b in zip(eids, bits):
+        sums[eid] = sums.get(eid, 0) + b
+    assert list(group.edge_sums) == [sums[e] for e in by_first]
+    assert group.total_bits == sum(bits)
+    assert group.max_sum == (max(sums.values()) if sums else 0)
+    assert group.all_fit == (group.max_sum <= bandwidth)
+    if group.edge_counts is None:
+        assert order == list(range(n))
+    else:
+        assert sum(group.edge_counts) == n
+        # each per-edge run of `order` is that edge's staging rows, FIFO
+        pos = 0
+        for eid, count in zip(by_first, group.edge_counts):
+            run = order[pos : pos + count]
+            assert run == [i for i in range(n) if eids[i] == eid]
+            pos += count
+
+
+class TestGroupRound:
+    SHAPES = [
+        (0, 1),  # empty flush
+        (1, 1),
+        (2, 1),  # both same-edge and distinct-edge cases arise over seeds
+        (2, 2),
+        (7, 3),
+        (40, 5),
+        (40, 40),
+        (130, 9),
+        (130, 130),
+        (400, 23),
+        (257, 1),  # one edge repeated: k == 1
+    ]
+
+    @pytest.mark.parametrize("n,n_edges", SHAPES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_invariants(self, n, n_edges, seed):
+        rng = random.Random(seed * 1000 + n)
+        eids = array("q", (rng.randrange(n_edges) for _ in range(n)))
+        bits = array("q", (rng.randrange(1, 200) for _ in range(n)))
+        for bandwidth in (1, 128, 10**9):
+            group = group_round(eids, bits, bandwidth)
+            _check_group_invariants(list(eids), list(bits), bandwidth, group)
 
 
 class TestNumpyPolicy:
-    def test_sum_bits_matches_python_sum(self):
-        from array import array
+    def test_congest_imports_without_numpy(self):
+        """The acceptance guard: with numpy unimportable, ``repro.congest``
+        imports and a columnar run still matches the dense reference.  A
+        fresh interpreter, so no already-imported module can mask a numpy
+        import."""
+        script = textwrap.dedent(
+            """
+            import sys
+            sys.modules["numpy"] = None  # import numpy -> ImportError
+            import repro.congest
+            from repro.algorithms.mst import run_boruvka_mst
+            from repro.graphs.generators import random_connected_graph
 
-        rng = random.Random(0)
-        for n in (0, 1, 63, 64, 65, 500):
-            col = array("q", [rng.randrange(1, 1 << 40) for _ in range(n)])
-            assert _sum_bits(col) == sum(col)
-
-    def test_forced_stdlib_path(self, monkeypatch):
-        from array import array
-
-        monkeypatch.setattr(columnar, "_np", None)
-        col = array("q", range(1, 200))
-        assert _sum_bits(col) == sum(range(1, 200))
-
-    def test_import_survives_numpy_absence(self, monkeypatch):
-        """The acceptance guard: with numpy unimportable, the module loads
-        and a columnar run still matches the dense reference."""
-        for name in list(sys.modules):
-            if name == "numpy" or name.startswith("numpy."):
-                monkeypatch.delitem(sys.modules, name)
-        monkeypatch.setitem(sys.modules, "numpy", None)  # import -> ImportError
-        try:
-            reloaded = importlib.reload(columnar)
-            assert reloaded._np is None
             graph = random_connected_graph(10, seed=3)
             for u, v in graph.edges():
                 graph.edges[u, v]["weight"] = float(u * 31 + v + 1)
@@ -199,13 +267,30 @@ class TestNumpyPolicy:
             edges_cols, cols = run_boruvka_mst(graph, bandwidth=64, seed=0, engine="columnar")
             assert edges_cols == edges_dense
             assert (cols.rounds, cols.total_bits, cols.per_round_bits) == (
-                dense.rounds,
-                dense.total_bits,
-                dense.per_round_bits,
+                dense.rounds, dense.total_bits, dense.per_round_bits
             )
-        finally:
-            monkeypatch.undo()
-            importlib.reload(columnar)
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestAutoSelection:
+    def test_tiny_graph_runs_dense(self):
+        graph = random_connected_graph(AUTO_DENSE_NODES, seed=0)
+        assert isinstance(get_engine("auto", graph=graph), DenseEngine)
+        network = CongestNetwork(graph, NodeProgram, engine="auto")
+        assert isinstance(network.engine, DenseEngine)
+
+    def test_larger_graph_runs_columnar_without_numpy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import -> ImportError
+        graph = random_connected_graph(20, seed=0)
+        assert isinstance(get_engine("auto", graph=graph), ColumnarEngine)
+        # No graph to inspect: the fast path.
+        assert isinstance(get_engine("auto"), ColumnarEngine)
 
 
 class TestTelemetry:

@@ -1,19 +1,14 @@
-"""Cross-engine equivalence: Dense, Event, Parallel and Columnar must agree.
+"""Cross-engine equivalence: Dense, Event and Columnar must agree.
 
 Every registered algorithm family runs on each engine over seeded random
 graphs; the full ``RunResult`` must match the dense reference field for
 field (rounds, bits, messages, outputs, halted -- and the per-round bit
 trace, which pins down the transport's O(1) skip accounting exactly).  This
-is the contract that makes the event engine a drop-in default and the
-thread-sharded parallel engine a drop-in accelerator: any idleness hint
-that skips a round the dense engine needed, or any shard merge that
-reorders state the serial engines build, would show up here as a
-divergence.
+is the contract that makes the event engine a drop-in default: any
+idleness hint that skips a round the dense engine needed would show up
+here as a divergence.
 
-The parallel engine is instantiated with ``min_parallel_nodes=1`` so every
-round genuinely fans out across the thread pool -- the inline small-round
-fallback must not be what makes these tests pass.  The columnar engine
-swaps the whole transport layout (struct-of-arrays staging, lazy per-edge
+The columnar engine swaps the whole transport layout (struct-of-arrays staging, lazy per-edge
 head accounting, a completion-clock heap) plus the batched min-edge
 reduction service, so its runs pin all of that to the reference semantics
 at once.
@@ -37,25 +32,13 @@ from repro.algorithms.framework import (
 from repro.algorithms.mst import run_boruvka_mst, run_gkp_mst, tree_weight
 from repro.algorithms.paths import run_bellman_ford
 from repro.algorithms.verification import run_verification
-from repro.congest.engine import ParallelEngine, get_engine
+from repro.congest.engine import _ENGINES, get_engine
 from repro.congest.network import CongestNetwork, run_program
 from repro.congest.node import Node, NodeProgram
 from repro.graphs.generators import random_connected_graph
 
 #: The engines checked against the dense reference.
-ENGINES = ("event", "parallel", "columnar")
-
-
-def make_engine(name):
-    """An engine-under-test instance (or name) for one run.
-
-    ``parallel`` gets 4 threads and no inline fallback, so the sharded step
-    path -- thread-local staging, barrier, node-id-order merge -- is what
-    actually executes, even on the small active sets of these tests.
-    """
-    if name == "parallel":
-        return ParallelEngine(threads=4, min_parallel_nodes=1)
-    return name
+ENGINES = ("event", "columnar")
 
 
 def assert_results_match(dense, other):
@@ -89,7 +72,7 @@ class TestMstEquivalence:
         graph = _weighted(26, seed)
         edges_dense, dense = run_gkp_mst(graph, bandwidth=128, seed=0, engine="dense")
         edges_other, other = run_gkp_mst(
-            graph, bandwidth=128, seed=0, engine=make_engine(engine)
+            graph, bandwidth=128, seed=0, engine=engine
         )
         assert_results_match(dense, other)
         assert edges_other == edges_dense
@@ -103,7 +86,7 @@ class TestMstEquivalence:
         graph = _weighted(16, 3)
         edges_dense, dense = run_boruvka_mst(graph, bandwidth=128, seed=0, engine="dense")
         edges_other, other = run_boruvka_mst(
-            graph, bandwidth=128, seed=0, engine=make_engine(engine)
+            graph, bandwidth=128, seed=0, engine=engine
         )
         assert_results_match(dense, other)
         assert edges_other == edges_dense
@@ -113,7 +96,7 @@ class TestMstEquivalence:
         graph = _weighted(24, 11)
         weight_dense, dense = run_elkin_approx_mst(graph, alpha=2.0, engine="dense")
         weight_other, other = run_elkin_approx_mst(
-            graph, alpha=2.0, engine=make_engine(engine)
+            graph, alpha=2.0, engine=engine
         )
         assert_results_match(dense, other)
         assert weight_other == weight_dense
@@ -134,7 +117,7 @@ class TestVerificationEquivalence:
             problem, graph, m_edges, bandwidth=64, seed=0, engine="dense", **kwargs
         )
         verdict_other, other = run_verification(
-            problem, graph, m_edges, bandwidth=64, seed=0, engine=make_engine(engine), **kwargs
+            problem, graph, m_edges, bandwidth=64, seed=0, engine=engine, **kwargs
         )
         assert_results_match(dense, other)
         assert verdict_other == verdict_dense
@@ -147,7 +130,7 @@ class TestQuiescenceEquivalence:
         graph = _weighted(25, seed)
         source = min(graph.nodes())
         dist_dense, dense = run_bellman_ford(graph, source, engine="dense")
-        dist_other, other = run_bellman_ford(graph, source, engine=make_engine(engine))
+        dist_other, other = run_bellman_ford(graph, source, engine=engine)
         assert_results_match(dense, other)
         assert dist_other == dist_dense
         expected = nx.single_source_dijkstra_path_length(graph, source)
@@ -164,7 +147,7 @@ class TestQuiescenceEquivalence:
         graph = nx.path_graph(4)
         dense_net = CongestNetwork(graph, Silent, bandwidth=8, engine="dense")
         dense = dense_net.run(max_rounds=500, stop_on_quiescence=True)
-        other_net = CongestNetwork(graph, Silent, bandwidth=8, engine=make_engine(engine))
+        other_net = CongestNetwork(graph, Silent, bandwidth=8, engine=engine)
         other = other_net.run(max_rounds=500, stop_on_quiescence=True)
         assert_results_match(dense, other)
 
@@ -186,7 +169,7 @@ class TestQuiescenceEquivalence:
         graph = nx.path_graph(3)
         dense = run_program(graph, OneShot, bandwidth=8, max_rounds=300, engine="dense")
         other = run_program(
-            graph, OneShot, bandwidth=8, max_rounds=300, engine=make_engine(engine)
+            graph, OneShot, bandwidth=8, max_rounds=300, engine=engine
         )
         assert_results_match(dense, other)
         assert other.rounds == 300
@@ -215,7 +198,7 @@ class TestFrameworkEquivalence:
             ]
 
         results = {}
-        for spec in ("dense", make_engine(engine)):
+        for spec in ("dense", engine):
             network = CongestNetwork(
                 graph,
                 lambda: PhasedProgram(phases()),
@@ -254,7 +237,7 @@ class TestFrameworkEquivalence:
             ]
 
         results = {}
-        for spec in ("dense", make_engine(engine)):
+        for spec in ("dense", engine):
             network = CongestNetwork(
                 graph,
                 lambda: PhasedProgram(phases()),
@@ -273,7 +256,7 @@ class TestFrameworkEquivalence:
             graph, lambda g: g.number_of_edges(), bandwidth=128, engine="dense"
         )
         answer_other, other = run_centralised(
-            graph, lambda g: g.number_of_edges(), bandwidth=128, engine=make_engine(engine)
+            graph, lambda g: g.number_of_edges(), bandwidth=128, engine=engine
         )
         assert_results_match(dense, other)
         assert answer_other == graph.number_of_edges()
@@ -284,8 +267,7 @@ class TestDefaultHintsEquivalence:
     def test_unhinted_program_runs_identically(self, engine):
         # A program with no idleness hints: the active-set engines
         # degenerate to stepping every node every round and must match
-        # exactly -- for the parallel engine this is the all-nodes-sharded
-        # hot path.
+        # exactly.
         class Chatter(NodeProgram):
             def on_start(self, node):
                 node.broadcast(("r", 0), bits=8)
@@ -298,7 +280,7 @@ class TestDefaultHintsEquivalence:
 
         graph = random_connected_graph(10, extra_edge_prob=0.2, seed=12)
         dense = run_program(graph, Chatter, bandwidth=8, engine="dense")
-        other = run_program(graph, Chatter, bandwidth=8, engine=make_engine(engine))
+        other = run_program(graph, Chatter, bandwidth=8, engine=engine)
         assert_results_match(dense, other)
 
 
@@ -306,8 +288,8 @@ class TestMessageLogEquivalence:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_opt_in_message_log_is_byte_identical(self, engine):
         """record_messages=True: the (round, sender, receiver, bits) log --
-        an *ordered* artifact -- must come out identical, which pins the
-        parallel engine's node-id-order outbox merge exactly."""
+        an *ordered* artifact -- must come out identical, which pins every
+        engine's node-id step order exactly."""
 
         class Chatter(NodeProgram):
             def on_start(self, node):
@@ -323,7 +305,7 @@ class TestMessageLogEquivalence:
         graph = random_connected_graph(14, extra_edge_prob=0.2, seed=21)
         logs = {}
         results = {}
-        for name, spec in (("dense", "dense"), (engine, make_engine(engine))):
+        for name, spec in (("dense", "dense"), (engine, engine)):
             network = CongestNetwork(
                 graph, Chatter, bandwidth=16, engine=spec, record_messages=True
             )
@@ -334,52 +316,11 @@ class TestMessageLogEquivalence:
         assert len(logs["dense"]) == results["dense"].total_messages
 
 
-class TestParallelDeterminism:
-    def test_one_vs_many_threads_identical_run_results(self):
-        """ParallelEngine must be a pure function of the program: 1 thread
-        (the degenerate serial path) and N threads (real shard fan-out)
-        produce field-identical RunResults and message logs."""
-        from repro.algorithms.mst import BoruvkaMSTProgram
-
-        graph = _weighted(26, 7)
-        runs = {}
-        for threads in (1, 4):
-            engine = ParallelEngine(threads=threads, min_parallel_nodes=1)
-            network = CongestNetwork(
-                graph,
-                BoruvkaMSTProgram,
-                bandwidth=128,
-                seed=0,
-                engine=engine,
-                record_messages=True,
-            )
-            runs[threads] = (network.run(max_rounds=500_000), list(network.message_log))
-        result_1, log_1 = runs[1]
-        result_4, log_4 = runs[4]
-        assert_results_match(result_1, result_4)
-        assert log_1 == log_4
-
-    def test_thread_counts_do_not_change_boruvka(self):
-        graph = _weighted(18, 13)
-        reference = None
-        for threads in (1, 2, 4, 8):
-            edges, result = run_boruvka_mst(
-                graph,
-                bandwidth=128,
-                seed=0,
-                engine=ParallelEngine(threads=threads, min_parallel_nodes=1),
-            )
-            if reference is None:
-                reference = (edges, result)
-            else:
-                assert edges == reference[0]
-                assert_results_match(reference[1], result)
-
-    def test_strict_error_path_metrics_match_serial(self):
-        """A strict-mode violation mid-round: the parallel engine must
-        raise the same error AND leave the same transport totals as the
-        serial engines -- sends staged by nodes before the offender count,
-        later shards' outboxes are discarded."""
+class TestStrictErrorPath:
+    def test_strict_error_path_metrics_match_dense(self):
+        """A strict-mode violation mid-round: every engine must raise the
+        same error AND leave the same transport totals -- sends staged by
+        nodes before the offender count."""
         from repro.congest.network import BandwidthExceeded
 
         class OneOversized(NodeProgram):
@@ -398,7 +339,6 @@ class TestParallelDeterminism:
             ("dense", "dense"),
             ("event", "event"),
             ("columnar", "columnar"),
-            ("parallel", ParallelEngine(threads=4, min_parallel_nodes=1)),
         ):
             network = CongestNetwork(
                 graph, OneOversized, bandwidth=8, strict=True, engine=spec
@@ -406,16 +346,21 @@ class TestParallelDeterminism:
             with pytest.raises(BandwidthExceeded):
                 network.run(max_rounds=10)
             totals[name] = (network.total_messages, network.total_bits)
-        assert totals["parallel"] == totals["dense"] == totals["event"]
-        assert totals["columnar"] == totals["dense"]
+        assert totals["columnar"] == totals["dense"] == totals["event"]
 
-    def test_engine_validation(self):
-        with pytest.raises(ValueError, match="threads"):
-            ParallelEngine(threads=0)
-        with pytest.raises(ValueError, match="unknown engine"):
-            get_engine("bogus")
-        assert get_engine("parallel", threads=3).threads == 3
-        assert get_engine("parallel").threads >= 1
+
+class TestEngineNames:
+    def test_get_engine_rejects_retired_names_and_thread_counts(self):
+        # The thread-sharded engine and both kernel-pinned columnar names.
+        retired = ["parallel"] + [f"columnar-{kernels}" for kernels in ("stdlib", "numpy")]
+        for name in retired:
+            with pytest.raises(ValueError, match="unknown engine") as info:
+                get_engine(name)
+            for known in _ENGINES:
+                assert repr(known) in str(info.value)
+        with pytest.raises(ValueError, match="thread"):
+            get_engine("event", threads=2)
+        assert sorted(_ENGINES) == ["auto", "columnar", "dense", "event"]
 
 
 class TestIdlenessHints:
@@ -478,7 +423,7 @@ class TestFaultEquivalence:
                 graph,
                 self._chatter(),
                 bandwidth=16,
-                engine=make_engine(engine),
+                engine=engine,
                 record_messages=True,
                 faults=faults,
             )
@@ -513,7 +458,7 @@ class TestFaultEquivalence:
             graph, source, max_rounds=50, engine="dense", faults=plan
         )
         dists_other, other = run_refreshing_bellman_ford(
-            graph, source, max_rounds=50, engine=make_engine(engine), faults=plan
+            graph, source, max_rounds=50, engine=engine, faults=plan
         )
         assert_results_match(dense, other)
         assert dists_other == dists_dense
@@ -531,7 +476,7 @@ class TestFaultEquivalence:
         plan = FaultPlan(seed=8, drop_prob=0.2, dup_prob=0.1, crashes=((5, 3, 7),))
         logs = {}
         results = {}
-        for name, spec in (("dense", "dense"), (engine, make_engine(engine))):
+        for name, spec in (("dense", "dense"), (engine, engine)):
             network = CongestNetwork(
                 graph,
                 self._chatter(),
@@ -552,7 +497,7 @@ class TestEventEngineSkips:
     def test_quiet_rounds_are_not_stepped(self, engine):
         # The Elkin staged flood is mostly quiet by design: the active-set
         # engines must step far fewer node-rounds than the dense n x rounds
-        # grid (the parallel engine inherits the event clock, so its step
+        # grid (the columnar engine inherits the event clock, so its step
         # counter obeys the same bound).
         graph = _weighted(24, 11)
         from repro.algorithms.elkin import StagedLabelFloodProgram, quantise_weights
@@ -575,7 +520,7 @@ class TestEventEngineSkips:
             bandwidth=64,
             seed=0,
             inputs=inputs,
-            engine=make_engine(engine),
+            engine=engine,
         )
         result = network.run(max_rounds=200_000)
         dense_grid = result.rounds * graph.number_of_nodes()

@@ -261,13 +261,13 @@ class TestBoruvkaMstSweepScenario:
         and the same CONGEST metrics on the same point."""
         scn = get_scenario("boruvka-mst-sweep")
         results = {}
-        for engine in ("dense", "event", "parallel", "columnar"):
+        for engine in ("dense", "event", "columnar"):
             params = scn.resolve_params(
                 {"n": 16, "generator": "geometric", "weight_model": "distinct",
-                 "engine": engine, "engine_threads": 2}
+                 "engine": engine}
             )
             results[engine] = scn.run(params, seed=5)
-        for engine in ("event", "parallel", "columnar"):
+        for engine in ("event", "columnar"):
             for field in ("tree_weight", "rounds", "total_bits", "total_messages", "exact"):
                 assert results[engine][field] == results["dense"][field], (engine, field)
 
@@ -312,12 +312,11 @@ class TestCLI:
         argv = [
             "run", "boruvka-mst-sweep", "--no-store",
             "--set", "n=12", "--set", "generator=random", "--set", "weight_model=distinct",
-            "--engine", "parallel", "--engine-threads", "2",
+            "--engine", "columnar",
         ]
         assert cli_main(argv) == 0
         out = capsys.readouterr().out
-        assert "'engine': 'parallel'" in out
-        assert "'engine_threads': 2" in out
+        assert "'engine': 'columnar'" in out
         # Scenarios without an engine param reject the flag cleanly.
         assert cli_main(["run", "test-echo", "--no-store", "--engine", "dense"]) == 2
         assert "unknown grid axis" in capsys.readouterr().err

@@ -17,7 +17,6 @@ import pytest
 
 from repro.algorithms.mst import run_boruvka_mst, tree_weight
 from repro.algorithms.paths import run_refreshing_bellman_ford
-from repro.congest.engine import ParallelEngine
 from repro.congest.faults import (
     CrashSpan,
     FaultPlan,
@@ -303,7 +302,7 @@ class TestFaultyTransportWire:
 
     def test_fault_decisions_identical_across_staging_orders(self):
         # Drop/dup decisions index the per-edge staging order, so shuffling
-        # whole-edge blocks (what shard merges can do) changes nothing.
+        # whole-edge blocks changes nothing.
         plan = FaultPlan(seed=9, drop_prob=0.3, dup_prob=0.2)
         stream = _staged_stream(n_edges=4, per_edge=6)
         _, inboxes_a = _run_round(plan, stream)
@@ -469,10 +468,7 @@ class TestSkipAccountingUnderFaults:
     RunResult (including the per-round bit trace) matches the dense
     reference, which never skips at all."""
 
-    @pytest.mark.parametrize(
-        "engine",
-        ["event", "columnar", pytest.param("parallel", id="parallel")],
-    )
+    @pytest.mark.parametrize("engine", ["event", "columnar"])
     def test_refreshing_bf_under_full_plan_matches_dense(self, engine):
         graph = _weighted(18, 2)
         source = min(graph.nodes())
@@ -489,12 +485,11 @@ class TestSkipAccountingUnderFaults:
             window=(1, 25),
             protect=[source],
         )
-        spec = ParallelEngine(threads=4, min_parallel_nodes=1) if engine == "parallel" else engine
         _, dense = run_refreshing_bellman_ford(
             graph, source, max_rounds=60, engine="dense", faults=plan
         )
         _, other = run_refreshing_bellman_ford(
-            graph, source, max_rounds=60, engine=spec, faults=plan
+            graph, source, max_rounds=60, engine=engine, faults=plan
         )
         _assert_results_match(dense, other)
         assert other.fault_stats is not None and other.fault_stats["drops"] > 0
