@@ -1,16 +1,14 @@
-"""Benchmark the columnar CONGEST engine against the dense and event engines.
+"""Benchmark the event engine's columnar stack against the dense reference.
 
 Times the largest ``fig3-mst-tradeoff`` and ``boruvka-mst-sweep`` grid
-points on ``engine=dense``, ``engine=event`` and ``engine=columnar`` and
-records one JSON artifact (``BENCH_pr7.json`` by default).  Every run's
-CONGEST metrics are cross-checked -- the engines must agree exactly;
-only wall-clock may differ.
+points on ``engine=dense`` and ``engine=event`` and records one JSON
+artifact (``BENCH_pr7.json`` by default).  Every run's CONGEST metrics are
+cross-checked -- the engines must agree exactly; only wall-clock may
+differ.
 
-The headline ``speedup`` key is columnar over the *dense reference* (the
-regression gate reads it); ``speedup_vs_event`` records the columnar
-margin over the event engine, which already skips quiet rounds -- that
-ratio isolates what the struct-of-arrays transport layout and the
-pre-sorted min-edge index buy on the rounds that do execute.
+The headline ``speedup`` key is the event engine (active-set clock over
+the struct-of-arrays transport and the pre-sorted min-edge index) over
+the *dense reference*; the regression gate reads it.
 
 Usage::
 
@@ -29,7 +27,7 @@ import time
 
 from repro.experiments import get_scenario
 
-#: Acceptance bar: columnar must beat dense by this factor on some point.
+#: Acceptance bar: event must beat dense by this factor on some point.
 TARGET_SPEEDUP = 10.0
 
 #: RunResult-derived fields that must be identical across engines, per
@@ -39,11 +37,11 @@ _INVARIANT_FIELDS = {
     "boruvka-mst-sweep": ("tree_weight", "rounds", "total_bits", "total_messages", "exact"),
 }
 
-_ENGINES = ("dense", "event", "columnar")
+_ENGINES = ("dense", "event")
 
 
 def time_point(scenario_name: str, overrides: dict, repeats: int) -> dict:
-    """Best-of-``repeats`` wall-clock for dense vs event vs columnar."""
+    """Best-of-``repeats`` wall-clock for dense vs event."""
     scenario = get_scenario(scenario_name)
     timings: dict[str, float] = {}
     results: dict[str, dict] = {}
@@ -57,17 +55,13 @@ def time_point(scenario_name: str, overrides: dict, repeats: int) -> dict:
         timings[engine] = best
         results[engine] = result
     fields = _INVARIANT_FIELDS[scenario_name]
-    agree = all(
-        results[engine][f] == results["dense"][f] for engine in _ENGINES[1:] for f in fields
-    )
+    agree = all(results["event"][f] == results["dense"][f] for f in fields)
     return {
         "scenario": scenario_name,
         "point": overrides,
         "dense_seconds": timings["dense"],
         "event_seconds": timings["event"],
-        "columnar_seconds": timings["columnar"],
-        "speedup": timings["dense"] / max(timings["columnar"], 1e-9),
-        "speedup_vs_event": timings["event"] / max(timings["columnar"], 1e-9),
+        "speedup": timings["dense"] / max(timings["event"], 1e-9),
         "engines_agree": agree,
         "invariants": {f: results["dense"][f] for f in fields},
     }
@@ -125,9 +119,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{c['scenario']} {c['point']}: "
             f"dense {c['dense_seconds']:.3f}s, "
             f"event {c['event_seconds']:.3f}s, "
-            f"columnar {c['columnar_seconds']:.3f}s, "
-            f"speedup {c['speedup']:.2f}x vs dense "
-            f"({c['speedup_vs_event']:.2f}x vs event), agree={c['engines_agree']}"
+            f"speedup {c['speedup']:.2f}x vs dense, agree={c['engines_agree']}"
         )
     print(f"best speedup {best:.2f}x vs dense (target {TARGET_SPEEDUP}x)")
     print(f"wrote {args.out}")

@@ -95,11 +95,11 @@ def _min_edge_index(node: Node):
     """The network's batched min-edge reduction service, when applicable.
 
     Returns the pre-sorted :class:`~repro.congest.columnar.MinEdgeIndex`
-    only when the engine opted in (``uses_min_edge_index``, currently the
-    columnar engine) and the node is not restricted to a marked
-    subnetwork -- ``m_neighbors`` runs keep the explicit filter path, and
-    the reference engines keep the legacy per-neighbour scan so
-    cross-engine timings compare the full columnar stack honestly.
+    only when the engine opted in (``uses_min_edge_index``: the event
+    engine) and the node is not restricted to a marked subnetwork --
+    ``m_neighbors`` runs keep the explicit filter path, and the dense
+    reference engine keeps the per-neighbour scan so cross-engine runs
+    check the index against it.
     """
     network = node._network
     if not getattr(network.engine, "uses_min_edge_index", False):

@@ -8,12 +8,14 @@ of rounds, messages and bits.
 - :mod:`repro.congest.message`   -- payload bit-size accounting.
 - :mod:`repro.congest.node`      -- node handles and the program interface
   (including the idleness hints the event engine exploits).
-- :mod:`repro.congest.transport` -- link buffers, chunking, strict-mode
-  checks and bit metrics.
-- :mod:`repro.congest.engine`    -- pluggable schedulers: the reference
-  ``DenseEngine``, the event-driven ``EventEngine`` and the
-  ``ColumnarEngine`` (event clock over the struct-of-arrays transport in
-  :mod:`repro.congest.columnar`), all over one step loop
+- :mod:`repro.congest.transport` -- the reference link buffers, chunking,
+  strict-mode checks and bit metrics (``LinkTransport``).
+- :mod:`repro.congest.columnar`  -- the struct-of-arrays
+  ``ColumnarTransport`` the event engine runs on (no code shared with
+  ``LinkTransport``) and the ``MinEdgeIndex`` reduction service.
+- :mod:`repro.congest.engine`    -- the two schedulers: the reference
+  ``DenseEngine`` (over ``LinkTransport``) and the event-driven
+  ``EventEngine`` (over ``ColumnarTransport``), both over one step loop
   (``StepPlan`` / ``step_batch``).
 - :mod:`repro.congest.network`   -- the ``CongestNetwork`` façade tying the
   layers together.

@@ -1,21 +1,25 @@
-"""Columnar transport and batched reductions: the struct-of-arrays hot path.
+"""Columnar transport and batched reductions: the event engine's hot path.
 
-:class:`ColumnarTransport` is a drop-in replacement for
-:class:`~repro.congest.transport.LinkTransport` that stores a round's
-staged sends as flat parallel columns (an ``array('q')`` edge-id column,
-an ``array('q')`` bits column and a payload list) instead of one
-``_InFlight`` object per message, and keeps each directed edge as a
-small permanent :class:`_EdgeQueue` whose *head* progress is accounted
-lazily against an internal clock -- a busy edge costs nothing per round
-until its head message actually completes.
+:class:`ColumnarTransport` is the event engine's transport.  It keeps the
+public contract of the reference
+:class:`~repro.congest.transport.LinkTransport` but shares no code with
+it: it stores a round's staged sends as flat parallel columns (an
+``array('q')`` edge-id column, an ``array('q')`` bits column and a payload
+list) instead of one ``_InFlight`` object per message, and keeps each
+directed edge as a small permanent :class:`_EdgeQueue` whose *head*
+progress is accounted lazily against an internal clock -- a busy edge
+costs nothing per round until its head message actually completes.
 
 The transport keeps its edge-clock schedule as a completion-clock heap
 (one ``(completion, seq, eid)`` entry per live edge), making
 :meth:`~ColumnarTransport.deliver_round` O(completing edges) and
-:meth:`~ColumnarTransport.rounds_until_delivery` O(1), where the baseline
-transport pays O(live edges) per executed round and O(total queued
-messages) per quiescence probe.  Each flush groups its staged round by
-edge in one pass (:func:`group_round`).
+:meth:`~ColumnarTransport.rounds_until_delivery` O(1), where the reference
+transport pays O(live edges) per executed round.  Because links drain
+deterministically at ``B`` bits per round, a stretch of rounds in which no
+message completes is accounted in one :meth:`~ColumnarTransport.skip_rounds`
+call (each busy link moves exactly ``B`` bits per skipped round), keeping
+the metrics bit-identical to a round-by-round advance.  Each flush groups
+its staged round by edge in one pass (:func:`group_round`).
 
 Column schema (documented order; see also ``docs/architecture.md``):
 
@@ -41,7 +45,7 @@ CONGEST programs, which respect the per-round budget), the entire
 staged round completes exactly one round later as a single *block*: no
 per-message queue appends, no clock installs -- ``deliver_round`` emits
 the block straight from the staged columns in first-appearance edge
-order, which is precisely the baseline link-dict's insertion order.  A
+order, which is precisely the reference link-dict's insertion order.  A
 flush while a block is pending first *materializes* the block into the
 per-edge queues (byte-identical to having taken the general path), so
 arbitrary flush/deliver/skip interleavings stay exact.
@@ -50,7 +54,7 @@ The staging order is exactly the engines' send order (node-id order
 within a round, program send order within a node), and per-edge FIFOs
 are keyed by a monotonically increasing activation sequence, so
 deliveries, metrics and the opt-in message log are byte-identical to the
-baseline transport -- the cross-engine equivalence suite enforces this.
+reference transport -- the cross-engine equivalence suite enforces this.
 Nothing in this module requires numpy.
 
 :class:`MinEdgeIndex` is the batched min-edge reduction service used by
@@ -58,8 +62,8 @@ the Boruvka/GKP fragment-minimum phases: incident edges are pre-sorted
 once per network by the canonical edge key, so each per-iteration
 "lightest outgoing edge" query is a prefix scan over the sorted incident
 list instead of a key construction per neighbour per query.  Engines opt
-in via ``Engine.uses_min_edge_index``; the legacy per-neighbour loop
-remains the reference path.
+in via ``Engine.uses_min_edge_index`` (the event engine does); the
+per-neighbour loop the dense engine runs remains the reference path.
 """
 
 from __future__ import annotations
@@ -70,14 +74,14 @@ from heapq import heappop, heappush
 from typing import Any, Hashable, NamedTuple
 
 from repro.congest.message import Received
-from repro.congest.transport import BandwidthExceeded, LinkTransport
+from repro.congest.transport import BandwidthExceeded
 
 class RoundGroup(NamedTuple):
     """One staged round grouped by directed edge (the flush's grouping).
 
     ``order`` lists message indices grouped by edge -- edges in
     first-appearance order, FIFO within each edge -- which is exactly the
-    insertion order of the baseline transport's link dict; when every
+    insertion order of the reference transport's link dict; when every
     staged message sits on a distinct edge it is simply ``range(n)``.
     ``edge_order`` / ``edge_sums`` are parallel per-edge columns in that
     same first-appearance order.  ``edge_counts`` carries the per-edge
@@ -152,7 +156,7 @@ class _EdgeQueue:
     the transport's completion-clock heap).  ``seq`` is the edge's
     *activation* sequence number, refreshed each time the edge goes from
     drained back to live: it orders same-round completions exactly as the
-    baseline transport's insertion-ordered link dict does, including
+    reference transport's insertion-ordered link dict does, including
     drain-then-revive reinsertion at the end.
     """
 
@@ -170,13 +174,13 @@ class _EdgeQueue:
         self.live = False
 
 
-class ColumnarTransport(LinkTransport):
+class ColumnarTransport:
     """Struct-of-arrays transport with event-driven delivery accounting.
 
-    Same public contract as :class:`LinkTransport` (the engines drive it
-    through the identical ``enqueue`` / ``flush`` / ``deliver_round`` /
-    ``rounds_until_delivery`` / ``skip_rounds`` operations and read the
-    identical metrics), different cost model:
+    Same ``enqueue`` / ``flush`` / ``deliver_round`` contract and metrics
+    as the reference :class:`~repro.congest.transport.LinkTransport`, plus
+    the event clock's ``rounds_until_delivery`` / ``skip_rounds``; a
+    different cost model:
 
     - staging is three column appends, not an object allocation;
     - a quiet live edge costs nothing per round (no per-head decrement);
@@ -191,7 +195,23 @@ class ColumnarTransport(LinkTransport):
     wants_trace = True
 
     def __init__(self, bandwidth: int, strict: bool = False, record_messages: bool = False):
-        super().__init__(bandwidth, strict=strict, record_messages=record_messages)
+        if bandwidth < 1:
+            raise ValueError("bandwidth must be at least 1")
+        self.bandwidth = bandwidth
+        self.strict = strict
+        self.record_messages = record_messages
+        self.total_messages = 0
+        self.total_bits = 0
+        self.max_edge_bits_per_round = 0
+        self.per_round_bits: list[int] = []
+        #: (round_sent, sender, receiver, bits) per message; only populated
+        #: when ``record_messages`` is set (the list grows unboundedly).
+        self.message_log: list[tuple[int, Hashable, Hashable, int]] = []
+        # Bits still in flight (committed, not yet moved), kept
+        # incrementally: += at the flush commit, -= exactly the bits a
+        # round (or skipped stretch) moves.  Makes pending_traffic() O(1)
+        # -- the event engine probes it every executed round.
+        self._pending_bits = 0
         # Staging: parallel struct-of-arrays columns (see module docstring
         # for the documented column order), cleared in place per flush.  A
         # "bundle" carries a buffer set together with its bound appends so
@@ -221,7 +241,7 @@ class ColumnarTransport(LinkTransport):
         # Ties pop in activation-sequence order.
         self._heap: list[tuple[int, int, int]] = []
         self._seq = 0  # edge activation counter (orders same-round deliveries)
-        # Telemetry (read by ColumnarEngine's run-end summary event).
+        # Telemetry (read by the event engine's run-end summary event).
         self.trace = None
         self.flush_batches = 0
         self.max_flush_messages = 0
@@ -256,7 +276,7 @@ class ColumnarTransport(LinkTransport):
         if self.strict and bits > self.bandwidth:
             # Totals are normally folded in at the flush barrier; an abort
             # mid-round must first account the already-staged messages so
-            # the counters match the baseline's per-enqueue accounting.
+            # the counters match the reference's per-enqueue accounting.
             self.total_messages += len(self._stage_recs)
             self.total_bits += sum(self._stage_bits)
             raise BandwidthExceeded(
@@ -343,7 +363,7 @@ class ColumnarTransport(LinkTransport):
         bits_col = self._stage_bits
         recs = self._stage_recs
         group = group_round(eids, bits_col, bw)
-        # Batched totals: the baseline counts per enqueue, but by the time
+        # Batched totals: the reference counts per enqueue, but by the time
         # anything can observe them (the flush barrier -- including a
         # strict-mode failure, which counts the whole staged round first,
         # exactly as per-enqueue counting would have) the values agree.
@@ -351,7 +371,7 @@ class ColumnarTransport(LinkTransport):
         self.total_bits += group.total_bits
         if self.strict and not group.all_fit:
             # Raise *before* anything is committed (first offending edge in
-            # first-seen order, matching the baseline message exactly).
+            # first-seen order, matching the reference message exactly).
             for eid, bits in zip(group.edge_order, group.edge_sums):
                 if bits > bw:
                     queue = self._queues[eid]
@@ -397,7 +417,7 @@ class ColumnarTransport(LinkTransport):
 
     def _commit_rows(self, eids: array, bits_col: array, recs: list[Any]) -> None:
         """The general commit: append rows to their edge queues, activating
-        drained queues with a fresh sequence number (the baseline link
+        drained queues with a fresh sequence number (the reference link
         dict's drain-then-revive insertion order) and pushing their head
         completion on the edge clock."""
         clock = self._clock
@@ -438,7 +458,7 @@ class ColumnarTransport(LinkTransport):
         """Advance one round; touch only the edges whose head completes.
 
         A pending block is emitted straight from its staged columns, in
-        first-appearance edge order (the baseline link-dict insertion
+        first-appearance edge order (the reference link-dict insertion
         order), FIFO within each edge.  On the general path, every live
         edge moves exactly ``B`` bits this round unless its head completes
         (then it moves its remainder plus any cascade of queued messages
@@ -598,6 +618,10 @@ class ColumnarTransport(LinkTransport):
         return 0
 
     # -- inspection ------------------------------------------------------------
+
+    def pending_traffic(self) -> int:
+        """Bits still in flight, O(1) (the incremental counter)."""
+        return self._pending_bits
 
     @property
     def live_edges(self) -> int:

@@ -1,38 +1,40 @@
-"""The scheduler layer: pluggable round engines over the transport.
+"""The scheduler layer: the two round engines over the transport.
 
 The middle of the three-layer CONGEST stack.  An :class:`Engine` decides
 *which* nodes are stepped *when*; the transport (bit accounting) below and
-the program API (algorithm logic) above are engine-agnostic, so every
-engine produces the same :class:`RunResult` for the same program:
+the program API (algorithm logic) above are engine-agnostic, so both
+engines produce the same :class:`RunResult` for the same program:
 
 - :class:`DenseEngine` -- the reference semantics: every non-halted node is
-  stepped every round.  Cost grows with ``n x rounds`` even when almost
-  every node is idle.
-- :class:`EventEngine` -- maintains an active-node set and steps a node
-  only if it has deliveries this round or its program declared the round
-  non-idle (via :meth:`repro.congest.node.NodeProgram.next_active_round`).
-  Rounds in which nothing happens are skipped in O(1) by jumping the clock
-  to the next delivery or program wake-up, with the transport accounting
-  the skipped stretch exactly.
-- :class:`ColumnarEngine` -- the event engine's clock over the
-  struct-of-arrays :class:`~repro.congest.columnar.ColumnarTransport`
-  (flat staging columns, lazy per-edge head accounting, a completion-clock
-  heap) plus the batched :class:`~repro.congest.columnar.MinEdgeIndex`
-  reduction service for the Boruvka/GKP fragment-minimum phases.  Engines
-  declare their transport via the ``transport_class`` attribute and their
-  reduction opt-in via ``uses_min_edge_index``; the network builds both.
+  stepped every round, over the reference
+  :class:`~repro.congest.transport.LinkTransport`, and MST programs use the
+  per-neighbour min-edge scan.  Cost grows with ``n x rounds`` even when
+  almost every node is idle.
+- :class:`EventEngine` -- the fast path.  It maintains an active-node set
+  and steps a node only if it has deliveries this round or its program
+  declared the round non-idle (via
+  :meth:`repro.congest.node.NodeProgram.next_active_round`).  Rounds in
+  which nothing happens are skipped in O(1) by jumping the clock to the
+  next delivery or program wake-up.  It runs over the struct-of-arrays
+  :class:`~repro.congest.columnar.ColumnarTransport` (flat staging columns,
+  lazy per-edge head accounting, a completion-clock heap), which accounts
+  the skipped stretch exactly, and opts in to the batched
+  :class:`~repro.congest.columnar.MinEdgeIndex` reduction service for the
+  Boruvka/GKP fragment-minimum phases.
 
-All engines express a round's work as a :class:`StepPlan`: the ordered
+Engines declare their transport via the ``transport_class`` attribute and
+their reduction opt-in via ``uses_min_edge_index``; the network builds
+both.  The two transports share no code, so the cross-engine equivalence
+suite compares two independent implementations.
+
+Both engines express a round's work as a :class:`StepPlan`: the ordered
 active set plus that round's inboxes.  :func:`step_batch` is the one inner
 loop that actually calls ``on_round``.
-
-``engine="auto"`` picks dense for tiny instances (at most
-:data:`AUTO_DENSE_NODES` nodes) and columnar otherwise.
 
 Equivalence contract: a program's idleness hint must only skip rounds whose
 ``on_round`` call would have been a no-op (no sends, no halting, no change
 to future behaviour) -- the default hint claims no idle rounds, so arbitrary
-programs run identically on every engine, and hinted programs are covered
+programs run identically on both engines, and hinted programs are covered
 by the cross-engine equivalence suite (``tests/test_engine_equivalence.py``).
 """
 
@@ -125,16 +127,15 @@ class Engine:
     """
 
     name = "abstract"
-    #: Transport the network builds for this engine; engines with bespoke
-    #: storage layouts (the columnar engine) override it.
+    #: Transport the network builds for this engine.
     transport_class = LinkTransport
     #: Whether MST-family programs should route fragment-minimum queries
     #: through the network's pre-sorted :class:`MinEdgeIndex` instead of
-    #: the legacy per-neighbour scan.  Off for the reference engines so
-    #: cross-engine comparisons measure the columnar stack honestly.
+    #: the per-neighbour scan.  Off for the reference engine so
+    #: cross-engine comparisons check the index against the scan.
     uses_min_edge_index = False
-    #: ``on_round`` calls made (all engines) / quiet rounds jumped in O(1)
-    #: (event-clock engines; always 0 for the dense engine).
+    #: ``on_round`` calls made (both engines) / quiet rounds jumped in O(1)
+    #: (the event engine; always 0 for the dense engine).
     node_steps = 0
     skipped_rounds = 0
 
@@ -259,12 +260,26 @@ class EventEngine(Engine):
     so interleavings match the dense engine exactly -- only the nodes that
     received something or asked to be woken.
 
+    The network builds a :class:`~repro.congest.columnar.ColumnarTransport`
+    (``transport_class``) for it, so staging is flat column appends,
+    executed rounds cost O(completing edges) instead of O(live edges), and
+    the per-round quiescence probes (``pending_traffic`` /
+    ``rounds_until_delivery``) are O(1).  The engine also opts in to the
+    network's pre-sorted :class:`~repro.congest.columnar.MinEdgeIndex`
+    (``uses_min_edge_index``), which the Boruvka/GKP fragment-minimum
+    phases consult instead of constructing an edge key per neighbour per
+    iteration.
+
     ``node_steps`` counts ``on_round`` calls and ``skipped_rounds`` the
     quiet rounds jumped in O(1), both for introspection; on mostly quiet
     workloads ``node_steps`` is far below the dense engine's ``n x rounds``.
+    When tracing is on, the transport emits one ``columnar_batch`` event
+    per non-empty flush and the run ends with a ``columnar_summary`` event.
     """
 
     name = "event"
+    transport_class = ColumnarTransport
+    uses_min_edge_index = True
 
     def __init__(self) -> None:
         self.node_steps = 0
@@ -409,49 +424,18 @@ class EventEngine(Engine):
                     sent_bits=transport.total_bits - pre_bits,
                 )
 
-        return self._result(network, round_no)
-
-
-class ColumnarEngine(EventEngine):
-    """Event-clock engine over the struct-of-arrays transport.
-
-    Scheduling is inherited unchanged from :class:`EventEngine` (active
-    set, O(1) quiet-round skips, quiescence probing); what changes is the
-    data layout underneath: the network builds a
-    :class:`~repro.congest.columnar.ColumnarTransport` (``transport_class``),
-    so staging is flat column appends, executed rounds cost O(completing
-    edges) instead of O(live edges), and the per-round quiescence probes
-    (``pending_traffic`` / ``rounds_until_delivery``) are O(1).  The
-    engine also opts in to the network's pre-sorted
-    :class:`~repro.congest.columnar.MinEdgeIndex`
-    (``uses_min_edge_index``), which the Boruvka/GKP fragment-minimum
-    phases consult instead of constructing an edge key per neighbour per
-    iteration.
-
-    Equivalence contract unchanged: every ``RunResult`` field and the
-    opt-in message log are byte-identical to the dense reference.  When
-    tracing is on, the transport emits one ``columnar_batch`` event per
-    non-empty flush and the run ends with a ``columnar_summary`` event.
-    """
-
-    name = "columnar"
-    transport_class = ColumnarTransport
-    uses_min_edge_index = True
-
-    def run(self, network: "CongestNetwork", max_rounds: int, stop_on_quiescence: bool) -> RunResult:
-        result = super().run(network, max_rounds, stop_on_quiescence)
-        # Unwrap the fault seam (if any): the columnar counters live on the
-        # inner transport the wrapper re-emits into.
-        transport = getattr(network.transport, "inner", network.transport)
-        trace = network.trace
-        if trace.enabled and isinstance(transport, ColumnarTransport):
+        result = self._result(network, round_no)
+        if tracing:
+            # Unwrap the fault seam (if any): the columnar counters live on
+            # the inner transport the wrapper re-emits into.
+            columnar = getattr(transport, "inner", transport)
             trace.event(
                 "columnar_summary",
-                flush_batches=transport.flush_batches,
-                max_batch=transport.max_flush_messages,
-                peak_live_edges=transport.peak_live_edges,
-                block_batches=transport.block_batches,
-                stage_reuse_ratio=round(transport.stage_reuse_ratio, 4),
+                flush_batches=columnar.flush_batches,
+                max_batch=columnar.max_flush_messages,
+                peak_live_edges=columnar.peak_live_edges,
+                block_batches=columnar.block_batches,
+                stage_reuse_ratio=round(columnar.stage_reuse_ratio, 4),
             )
         return result
 
@@ -459,41 +443,21 @@ class ColumnarEngine(EventEngine):
 _ENGINES = {
     "dense": DenseEngine,
     "event": EventEngine,
-    "columnar": ColumnarEngine,
-    # Resolved from the workload shape in get_engine(); the entry exists so
-    # the name appears in listings and in the unknown-engine error.
-    "auto": None,
 }
-
-#: At or below this node count ``engine="auto"`` picks the dense reference:
-#: the event clock's scheduling machinery costs more than stepping a
-#: handful of nodes every round.
-AUTO_DENSE_NODES = 8
-
-
-def _auto_engine(graph) -> Engine:
-    """Pick an engine from the workload shape: tiny instances run dense
-    (reference semantics, nothing to amortise), everything else -- and a
-    call without a graph -- runs columnar."""
-    if graph is not None and graph.number_of_nodes() <= AUTO_DENSE_NODES:
-        return DenseEngine()
-    return ColumnarEngine()
 
 
 def get_engine(spec: str | Engine, threads: int | None = None, *, graph=None) -> Engine:
     """Resolve an engine spec: an :class:`Engine` instance or a name.
 
-    ``graph`` (optional) lets ``spec="auto"`` see the workload it is
-    choosing for.  ``threads`` must be ``None``: every engine steps its
-    nodes on the calling thread, and a thread count is rejected rather
-    than silently ignored.
+    ``threads`` must be ``None``: both engines step their nodes on the
+    calling thread, and a thread count is rejected rather than silently
+    ignored.  ``graph`` is accepted for callers that pass the workload and
+    is ignored: no engine choice depends on it.
     """
     if threads is not None:
         raise ValueError(f"engines take no thread count (got threads={threads!r})")
     if isinstance(spec, Engine):
         return spec
-    if spec == "auto":
-        return _auto_engine(graph)
     try:
         cls = _ENGINES[spec]
     except KeyError:

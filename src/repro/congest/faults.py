@@ -14,9 +14,9 @@ of ``(plan seed, round, directed edge, per-edge message index)`` via a
 wrapper stages each round's sends itself, applies the faults to the staged
 sequence (which every engine produces in the same canonical order), and
 re-emits the survivors into the wrapped transport in the original global
-staging order.  Since all transports are already proven byte-identical for
-identical enqueue sequences, every engine (dense / event / columnar)
-produces **byte-identical faulted runs** for the same plan.
+staging order.  Since both transports are already proven byte-identical for
+identical enqueue sequences, both engines (dense / event) produce
+**byte-identical faulted runs** for the same plan.
 
 **Fault semantics.**
 
@@ -724,8 +724,8 @@ class FaultyTransport:
     def skip_rounds(self, rounds: int) -> int:
         """Account a quiet stretch; refuses to cross a scheduled fault round.
 
-        The event engines include :meth:`FaultPlan.next_event_round` in
-        their skip-target candidates, so a correct engine never trips this
+        The event engine includes :meth:`FaultPlan.next_event_round` in
+        its skip-target candidates, so a correct engine never trips this
         guard -- it exists to turn a missed wake-up hook into a loud error
         instead of a silently unfaulted run.
         """

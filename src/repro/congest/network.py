@@ -12,25 +12,24 @@ certify they never exceed the per-round budget.
 
 The implementation is split into three layers (see each module's docstring):
 
-- :mod:`repro.congest.transport` -- per-edge bit accounting, chunking,
-  strict-mode checks, metrics (:class:`LinkTransport`);
-- :mod:`repro.congest.engine` -- pluggable round schedulers: the reference
-  :class:`~repro.congest.engine.DenseEngine` (every node, every round), the
-  default :class:`~repro.congest.engine.EventEngine` (active-node set,
-  O(1) skips over quiet rounds) and
-  :class:`~repro.congest.engine.ColumnarEngine` (the event clock over the
-  struct-of-arrays :mod:`repro.congest.columnar` transport with batched
-  min-edge reductions);
+- :mod:`repro.congest.transport` / :mod:`repro.congest.columnar` -- per-edge
+  bit accounting, chunking, strict-mode checks, metrics: the reference
+  :class:`LinkTransport` and the struct-of-arrays
+  :class:`~repro.congest.columnar.ColumnarTransport`, which share no code;
+- :mod:`repro.congest.engine` -- the two round schedulers: the reference
+  :class:`~repro.congest.engine.DenseEngine` (every node, every round, over
+  ``LinkTransport``) and the default
+  :class:`~repro.congest.engine.EventEngine` (active-node set, O(1) skips
+  over quiet rounds, over ``ColumnarTransport`` with batched min-edge
+  reductions);
 - :mod:`repro.congest.node` -- the program API, including the idleness
   hints (``next_active_round`` / phase-level ``idle_until``) the event
   engine exploits.
 
 :class:`CongestNetwork` wires the three together; pick the engine with the
-``engine="event"|"dense"|"columnar"|"auto"`` kwarg.  All engines produce
-identical :class:`RunResult`\\ s for the same program -- ``dense`` is the
-reference to cross-check against, ``event`` the default, ``columnar`` the
-struct-of-arrays hot path for big message-heavy runs, and ``auto`` picks
-dense for tiny graphs and columnar otherwise.
+``engine="event"|"dense"`` kwarg.  Both engines produce identical
+:class:`RunResult`\\ s for the same program -- ``dense`` is the reference
+to cross-check against, ``event`` the default fast path.
 """
 
 from __future__ import annotations
@@ -94,9 +93,9 @@ class CongestNetwork:
         self._rng = random.Random(seed)
         self.n_nodes = graph.number_of_nodes()
         # Engine first: it declares the transport layout it runs against
-        # (LinkTransport by default, the struct-of-arrays ColumnarTransport
-        # for the columnar engine).
-        self.engine = get_engine(engine, graph=graph)
+        # (LinkTransport for dense, the struct-of-arrays ColumnarTransport
+        # for event).
+        self.engine = get_engine(engine)
         self.transport = self.engine.transport_class(
             bandwidth, strict=strict, record_messages=record_messages
         )
@@ -195,7 +194,7 @@ class CongestNetwork:
         """Apply every scheduled edge event with ``event.round <= round_no``.
 
         Engines call this at the start of each executed round (the event
-        engines never skip past a scheduled round, so catch-up is a safety
+        engine never skips past a scheduled round, so catch-up is a safety
         net, not the normal path).  Applying an event splices the endpoints'
         neighbour tuples in repr-sorted order, invalidates the graph's
         cached adjacency (a paired insert+delete keeps the edge count

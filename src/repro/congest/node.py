@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import random
+import weakref
 from typing import TYPE_CHECKING, Any, Hashable, Iterable
 
 from repro.congest.message import Received, bit_size
@@ -34,7 +35,10 @@ class Node:
         self.rng = rng
         self.output: Any = None
         self.halted = False
-        self._network = network
+        # A proxy, not a reference: the network owns its nodes, so a strong
+        # back-reference would form a cycle that keeps every finished
+        # network (transport queues included) alive until a full gc pass.
+        self._network = weakref.proxy(network)
 
     # -- knowledge ----------------------------------------------------------
 

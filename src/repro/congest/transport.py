@@ -1,4 +1,4 @@
-"""The transport layer: per-edge bit accounting, chunking and metrics.
+"""The reference transport: per-edge bit accounting, chunking and metrics.
 
 This is the bottom of the three-layer CONGEST engine stack
 (transport -> scheduler -> program API).  A :class:`LinkTransport` owns the
@@ -7,18 +7,17 @@ bit: strict-mode bandwidth checks, message chunking over ``ceil(bits/B)``
 rounds, the run metrics (``total_bits``, ``per_round_bits``,
 ``max_edge_bits_per_round``) and the optional per-message log.
 
-Engines drive it through three operations:
+The dense reference engine drives it through two operations:
 
 - :meth:`enqueue` / :meth:`flush` -- stage a round's sends, then commit them
   to the link buffers (strict mode validates the per-edge round budget at
   the flush barrier, exactly as the synchronous model requires);
 - :meth:`deliver_round` -- advance every link by one round's budget and
-  collect the messages that completed (the dense per-round path);
-- :meth:`rounds_until_delivery` / :meth:`skip_rounds` -- the event-driven
-  fast path: because links drain deterministically at ``B`` bits per round,
-  a stretch of rounds in which no message completes can be accounted in one
-  call (each busy link moves exactly ``B`` bits per skipped round), keeping
-  the metrics bit-identical to a round-by-round advance.
+  collect the messages that completed.
+
+It is the plain per-round implementation the event engine's
+:class:`~repro.congest.columnar.ColumnarTransport` is checked against; the
+two share no code.
 """
 
 from __future__ import annotations
@@ -52,11 +51,6 @@ class LinkTransport:
         self.total_bits = 0
         self.max_edge_bits_per_round = 0
         self.per_round_bits: list[int] = []
-        # Bits still in flight (committed to link buffers, not yet moved),
-        # kept incrementally: += at the flush commit, -= exactly the bits a
-        # round (or skipped stretch) moves.  Makes pending_traffic() O(1)
-        # -- the event engine probes it every executed round.
-        self._pending_bits = 0
         #: (round_sent, sender, receiver, bits) per message; only populated
         #: when ``record_messages`` is set (the list grows unboundedly).
         self.message_log: list[tuple[int, Hashable, Hashable, int]] = []
@@ -98,14 +92,11 @@ class LinkTransport:
                         f"{bits} bits queued on edge {u!r}->{v!r} in one round "
                         f"(B={self.bandwidth})"
                     )
-        committed = 0
         for msg in self._outgoing:
             queue = self._links.get((msg.sender, msg.receiver))
             if queue is None:
                 queue = self._links[(msg.sender, msg.receiver)] = deque()
             queue.append(msg)
-            committed += msg.bits
-        self._pending_bits += committed
         self._outgoing = []
 
     def has_outgoing(self) -> bool:
@@ -140,59 +131,15 @@ class LinkTransport:
         for key in drained:
             del self._links[key]
         self.per_round_bits.append(round_bits)
-        self._pending_bits -= round_bits
         return inboxes
-
-    def rounds_until_delivery(self) -> int | None:
-        """Rounds until the next message completes; None if nothing in flight.
-
-        The head of each link FIFO gets the full budget every round, so it
-        completes in exactly ``ceil(remaining / B)`` rounds -- the earliest
-        delivery anywhere is the minimum of that over live links.
-        """
-        if not self._links:
-            return None
-        bw = self.bandwidth
-        return min(
-            -(-queue[0].remaining // bw) for queue in self._links.values()
-        )
-
-    def skip_rounds(self, rounds: int) -> int:
-        """Account ``rounds`` quiet rounds (no deliveries) in one call.
-
-        Callers must guarantee ``rounds < rounds_until_delivery()`` (or that
-        no traffic is in flight).  Under that precondition every link head
-        still has more than ``rounds * B`` bits remaining, so each busy link
-        moves exactly ``B`` bits in each skipped round and no queue changes
-        shape -- which is what makes the per-round metrics below exact.
-
-        Returns the total bits moved across the skipped stretch, so tracers
-        can attribute the stretch without re-deriving it from link state.
-        """
-        if rounds <= 0:
-            return 0
-        bw = self.bandwidth
-        moved = bw * rounds
-        for queue in self._links.values():
-            head = queue[0]
-            if head.remaining <= moved:
-                raise RuntimeError(
-                    "skip_rounds crossed a delivery: "
-                    f"{rounds} rounds x B={bw} >= {head.remaining} bits remaining"
-                )
-            head.remaining -= moved
-        if self._links:
-            if bw > self.max_edge_bits_per_round:
-                self.max_edge_bits_per_round = bw
-            self.per_round_bits.extend([bw * len(self._links)] * rounds)
-            self._pending_bits -= moved * len(self._links)
-            return moved * len(self._links)
-        self.per_round_bits.extend([0] * rounds)
-        return 0
 
     # -- inspection ------------------------------------------------------------
 
     def pending_traffic(self) -> int:
-        """Bits still in flight, O(1) (the incremental counter; quiescence
-        probes used to rescan every queued message per quiet round)."""
-        return self._pending_bits
+        """Bits still in flight: the sum over every queued message.
+
+        The dense engine probes this only after a round that moved no bits,
+        when no link was live before that round's flush, so the scan covers
+        at most one round's sends.
+        """
+        return sum(msg.remaining for queue in self._links.values() for msg in queue)

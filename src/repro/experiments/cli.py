@@ -5,7 +5,7 @@ Examples::
     python -m repro.experiments list
     python -m repro.experiments run fig3-mst-tradeoff --workers 4
     python -m repro.experiments run chsh-gamma2 --set restarts=1,4,16 --replicates 3
-    python -m repro.experiments run boruvka-mst-sweep --engine columnar
+    python -m repro.experiments run boruvka-mst-sweep --engine dense
     python -m repro.experiments run fig3-mst-tradeoff --backend queue \\
         --queue-dir /shared/q --workers 0          # external daemons drain it
     python -m repro.experiments worker /shared/q --store worker-shard
@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=tuple(_ENGINES),
         default=None,
         help="CONGEST engine axis (scenarios declaring an `engine` param only); "
-        "`auto` picks from the instance size",
+        "`dense` is the reference, `event` the default",
     )
     run.add_argument(
         "--fault-seed",

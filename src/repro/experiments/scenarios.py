@@ -50,7 +50,7 @@ from repro.graphs.spatial import GridIndex
 
 
 #: Engine-selection axes shared by the CONGEST-heavy scenarios, so sweeps
-#: can put the execution engine itself on the grid (``--engine columnar``
+#: can put the execution engine itself on the grid (``--engine dense``
 #: at the CLI).  ``engine_threads`` is kept only so existing cache keys and
 #: external readers stay stable: 0 is the only accepted value, and anything
 #: else makes ``get_engine`` raise.
@@ -60,16 +60,13 @@ ENGINE_PARAMS = (
 )
 
 
-def _resolve_engine(engine: str, engine_threads: int, graph: nx.Graph | None = None) -> Engine:
+def _resolve_engine(engine: str, engine_threads: int) -> Engine:
     """Build the engine instance a scenario point asked for.
 
     An instance (not the name) so the scenario can read back introspection
-    counters such as ``node_steps`` after the run.  Pass the instance graph
-    when it is already built so ``engine="auto"`` can size its choice.
+    counters such as ``node_steps`` after the run.
     """
-    return get_engine(
-        engine, threads=engine_threads if engine_threads > 0 else None, graph=graph
-    )
+    return get_engine(engine, threads=engine_threads if engine_threads > 0 else None)
 
 
 def _weighted_graph(n: int, extra_edge_prob: float, graph_seed: int, weight_seed: int) -> nx.Graph:
@@ -161,10 +158,10 @@ def fig3_mst_tradeoff(
     graph = _fig3_graph(seed, n, aspect_ratio, extra_edge_prob, graph_seed)
 
     _, elkin = run_elkin_approx_mst(
-        graph, alpha=alpha, engine=_resolve_engine(engine, engine_threads, graph)
+        graph, alpha=alpha, engine=_resolve_engine(engine, engine_threads)
     )
     _, gkp = run_gkp_mst(
-        graph, bandwidth=bandwidth, engine=_resolve_engine(engine, engine_threads, graph)
+        graph, bandwidth=bandwidth, engine=_resolve_engine(engine, engine_threads)
     )
     formula = fig3_curve(n, alpha, [w])[0]
     return {
@@ -750,7 +747,7 @@ def spanner_skeleton(
         n, aspect_ratio=aspect_ratio, extra_edge_prob=extra_edge_prob, seed=seed
     )
     k = stretch_k if stretch_k >= 1 else max(1, math.ceil(math.log2(n)))
-    engine_obj = _resolve_engine(engine, engine_threads, graph)
+    engine_obj = _resolve_engine(engine, engine_threads)
     summary, run = run_linear_size_spanner(graph, k, bandwidth=bandwidth, engine=engine_obj)
     node_steps = getattr(engine_obj, "node_steps", None)
     dense_steps = n * run.rounds
@@ -883,7 +880,7 @@ def boruvka_mst_sweep(
 
     The classic homogeneous CONGEST workload: every live node participates
     in every announce/flood/merge sub-round, so the active set stays large
-    and the columnar transport's batched flushes carry the run.  Exactness
+    and the event engine's columnar batched flushes carry the run.  Exactness
     is checked against the centralised MST weight (all minimum spanning
     trees share it, so the check is tie-safe).
     """
@@ -891,7 +888,7 @@ def boruvka_mst_sweep(
     reference = sum(
         d["weight"] for _, _, d in nx.minimum_spanning_tree(graph).edges(data=True)
     )
-    engine_obj = _resolve_engine(engine, engine_threads, graph)
+    engine_obj = _resolve_engine(engine, engine_threads)
     edges, run = run_boruvka_mst(graph, bandwidth=bandwidth, seed=seed, engine=engine_obj)
     weight = tree_weight(graph, edges)
     return {
@@ -1150,7 +1147,7 @@ def mst_under_faults(
     rounds/bits to a *correct* tree vs the fault-free baseline.
     """
     graph = _weighted_graph(n, extra_edge_prob, graph_seed=seed, weight_seed=seed + 1)
-    engine_obj = _resolve_engine(engine, engine_threads, graph)
+    engine_obj = _resolve_engine(engine, engine_threads)
     clean_edges, clean = run_boruvka_mst(graph, bandwidth=bandwidth, engine=engine_obj)
     expected = {frozenset(e) for e in nx.minimum_spanning_tree(graph).edges()}
     assert clean_edges == expected, "fault-free Boruvka diverged from the centralized MST"
@@ -1165,7 +1162,7 @@ def mst_under_faults(
         crash_length=crash_length,
         window=(1, fault_window),
     )
-    faulted_engine = _resolve_engine(engine, engine_threads, graph)
+    faulted_engine = _resolve_engine(engine, engine_threads)
     faulted_edges, faulted = run_boruvka_mst(
         graph, bandwidth=bandwidth, engine=faulted_engine, faults=plan, max_rounds=round_budget
     )
@@ -1175,7 +1172,7 @@ def mst_under_faults(
     if not correct_first_try:
         # Detect-and-restart: rerun fault-free once the faults subside.
         restart_edges, restart = run_boruvka_mst(
-            graph, bandwidth=bandwidth, engine=_resolve_engine(engine, engine_threads, graph)
+            graph, bandwidth=bandwidth, engine=_resolve_engine(engine, engine_threads)
         )
         assert restart_edges == expected, "restarted Boruvka diverged from the centralized MST"
         total_rounds += restart.rounds
@@ -1287,7 +1284,7 @@ def bfs_restabilization(
         weighted=False,
         max_rounds=horizon,
         refresh_every=refresh_every,
-        engine=_resolve_engine(engine, engine_threads, graph),
+        engine=_resolve_engine(engine, engine_threads),
     )
     distances, faulted = run_refreshing_bellman_ford(
         graph,
@@ -1296,7 +1293,7 @@ def bfs_restabilization(
         weighted=False,
         max_rounds=horizon,
         refresh_every=refresh_every,
-        engine=_resolve_engine(engine, engine_threads, graph),
+        engine=_resolve_engine(engine, engine_threads),
         faults=plan,
     )
     expected = nx.single_source_shortest_path_length(plan.final_graph(graph), source)
@@ -1386,7 +1383,7 @@ def spanner_churn(
         graph,
         k,
         bandwidth=bandwidth,
-        engine=_resolve_engine(engine, engine_threads, graph),
+        engine=_resolve_engine(engine, engine_threads),
         include_edges=True,
     )
     plan = FaultPlan.generate(
@@ -1404,7 +1401,7 @@ def spanner_churn(
         graph,
         k,
         bandwidth=bandwidth,
-        engine=_resolve_engine(engine, engine_threads, graph),
+        engine=_resolve_engine(engine, engine_threads),
         max_rounds=round_budget,
         faults=plan,
         include_edges=True,
@@ -1424,7 +1421,7 @@ def spanner_churn(
             final,
             k,
             bandwidth=bandwidth,
-            engine=_resolve_engine(engine, engine_threads, final),
+            engine=_resolve_engine(engine, engine_threads),
             include_edges=True,
         )
         assert rebuilt_summary["edges"] == expected_edges, (

@@ -5,9 +5,8 @@ the dense reference; these tests drive :class:`ColumnarTransport` directly
 against :class:`LinkTransport` on randomised edge workloads, check the
 flush grouping (:func:`group_round`) and the edge clock's same-round
 ordering, pin the telemetry events and strict-mode error texts, exercise
-the numpy-absent import guard and the ``engine="auto"`` rules, and check
-that :class:`MinEdgeIndex` reproduces the legacy per-neighbour minimum
-scans key for key.
+the numpy-absent import guard, and check that :class:`MinEdgeIndex`
+reproduces the per-neighbour minimum scans key for key.
 """
 
 import os
@@ -22,7 +21,7 @@ import pytest
 
 from repro.algorithms.mst import edge_key
 from repro.congest.columnar import ColumnarTransport, MinEdgeIndex, group_round
-from repro.congest.engine import AUTO_DENSE_NODES, ColumnarEngine, DenseEngine, get_engine
+from repro.congest.engine import get_engine
 from repro.congest.network import CongestNetwork, run_program
 from repro.congest.node import NodeProgram
 from repro.congest.transport import BandwidthExceeded, LinkTransport
@@ -37,6 +36,14 @@ def _drain(transport):
         receiver: [(m.sender, m.payload, m.bits) for m in msgs]
         for receiver, msgs in inboxes.items()
     }
+
+
+def _rounds_until_delivery(base):
+    """The reference gap for a :class:`LinkTransport`: each link head gets
+    the full budget every round, so it completes in ``ceil(remaining / B)``
+    rounds; ``None`` when nothing is in flight."""
+    bw = base.bandwidth
+    return min((-(-queue[0].remaining // bw) for queue in base._links.values()), default=None)
 
 
 def _random_workload(seed, rounds=40, nodes=6, bandwidth=16):
@@ -62,7 +69,7 @@ class TestTransportLockstep:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_deliveries_and_metrics_match_baseline(self, seed):
         for round_no, base, cols in _random_workload(seed):
-            assert cols.rounds_until_delivery() == base.rounds_until_delivery()
+            assert cols.rounds_until_delivery() == _rounds_until_delivery(base)
             assert cols.pending_traffic() == base.pending_traffic()
             assert _drain(cols) == _drain(base), round_no
             assert cols.per_round_bits == base.per_round_bits
@@ -102,10 +109,16 @@ class TestTransportLockstep:
                 cols.enqueue(sender, receiver, ("p", round_no), bits, round_no)
             base.flush()
             cols.flush()
-            gap = base.rounds_until_delivery()
+            gap = cols.rounds_until_delivery()
             if gap is not None and gap > 1:
+                # A skip is k quiet rounds of the reference per-round path:
+                # nothing delivered, the same bits moved, round by round.
                 skip = rng.randrange(1, gap)
-                assert cols.skip_rounds(skip) == base.skip_rounds(skip)
+                reference = [_drain(base) for _ in range(skip)]
+                assert reference == [{}] * skip
+                assert cols.skip_rounds(skip) == sum(base.per_round_bits[-skip:])
+                assert cols.per_round_bits == base.per_round_bits
+                assert cols.max_edge_bits_per_round == base.max_edge_bits_per_round
             assert _drain(cols) == _drain(base)
             assert cols.per_round_bits == base.per_round_bits
             assert cols.pending_traffic() == base.pending_traffic()
@@ -143,7 +156,7 @@ class TestTransportLockstep:
             for sender in (5, 2, 9):
                 t.enqueue(sender, 0, ("b", sender), 2 * bw, 2)
             t.flush()
-        assert cols.rounds_until_delivery() == base.rounds_until_delivery() == 2
+        assert cols.rounds_until_delivery() == _rounds_until_delivery(base) == 2
         assert _drain(cols) == _drain(base) == {}
         delivered = _drain(cols)
         assert delivered == _drain(base)
@@ -249,7 +262,7 @@ class TestGroupRound:
 class TestNumpyPolicy:
     def test_congest_imports_without_numpy(self):
         """The acceptance guard: with numpy unimportable, ``repro.congest``
-        imports and a columnar run still matches the dense reference.  A
+        imports and an event run still matches the dense reference.  A
         fresh interpreter, so no already-imported module can mask a numpy
         import."""
         script = textwrap.dedent(
@@ -264,7 +277,7 @@ class TestNumpyPolicy:
             for u, v in graph.edges():
                 graph.edges[u, v]["weight"] = float(u * 31 + v + 1)
             edges_dense, dense = run_boruvka_mst(graph, bandwidth=64, seed=0, engine="dense")
-            edges_cols, cols = run_boruvka_mst(graph, bandwidth=64, seed=0, engine="columnar")
+            edges_cols, cols = run_boruvka_mst(graph, bandwidth=64, seed=0, engine="event")
             assert edges_cols == edges_dense
             assert (cols.rounds, cols.total_bits, cols.per_round_bits) == (
                 dense.rounds, dense.total_bits, dense.per_round_bits
@@ -276,21 +289,6 @@ class TestNumpyPolicy:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-
-
-class TestAutoSelection:
-    def test_tiny_graph_runs_dense(self):
-        graph = random_connected_graph(AUTO_DENSE_NODES, seed=0)
-        assert isinstance(get_engine("auto", graph=graph), DenseEngine)
-        network = CongestNetwork(graph, NodeProgram, engine="auto")
-        assert isinstance(network.engine, DenseEngine)
-
-    def test_larger_graph_runs_columnar_without_numpy(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numpy", None)  # import -> ImportError
-        graph = random_connected_graph(20, seed=0)
-        assert isinstance(get_engine("auto", graph=graph), ColumnarEngine)
-        # No graph to inspect: the fast path.
-        assert isinstance(get_engine("auto"), ColumnarEngine)
 
 
 class TestTelemetry:
@@ -318,7 +316,7 @@ class TestTelemetry:
 
         tracer = CollectingTracer()
         graph = nx.path_graph(5)
-        run_program(graph, Chatter, bandwidth=8, engine="columnar", trace=tracer)
+        run_program(graph, Chatter, bandwidth=8, engine="event", trace=tracer)
         summaries = [e for e in tracer.by_kind("event") if e["name"] == "columnar_summary"]
         assert len(summaries) == 1
         assert summaries[0]["flush_batches"] >= 1
@@ -330,10 +328,10 @@ class TestTelemetry:
     def test_network_binds_tracer_to_columnar_transport(self):
         tracer = CollectingTracer()
         graph = nx.path_graph(3)
-        network = CongestNetwork(graph, NodeProgram, engine="columnar", trace=tracer)
+        network = CongestNetwork(graph, NodeProgram, engine="event", trace=tracer)
         assert network.transport.trace is tracer
-        baseline = CongestNetwork(graph, NodeProgram, engine="event", trace=tracer)
-        assert not hasattr(baseline.transport, "trace")
+        reference = CongestNetwork(graph, NodeProgram, engine="dense", trace=tracer)
+        assert not hasattr(reference.transport, "trace")
 
 
 class TestMinEdgeIndex:
@@ -394,12 +392,9 @@ class TestMinEdgeIndex:
 
     def test_network_caches_one_index(self):
         graph = self._weighted(8, 4)
-        network = CongestNetwork(graph, NodeProgram, engine="columnar")
+        network = CongestNetwork(graph, NodeProgram, engine="event")
         assert network.min_edge_index() is network.min_edge_index()
 
     def test_opt_in_flag_per_engine(self):
-        from repro.congest.engine import get_engine
-
-        assert get_engine("columnar").uses_min_edge_index
-        assert not get_engine("event").uses_min_edge_index
+        assert get_engine("event").uses_min_edge_index
         assert not get_engine("dense").uses_min_edge_index

@@ -1,8 +1,12 @@
 """Tests for the CONGEST simulator: rounds, bandwidth, pipelining, metrics."""
 
+import gc
+import weakref
+
 import networkx as nx
 import pytest
 
+from repro.congest.faults import FaultPlan
 from repro.congest.message import QubitPayload, bit_size
 from repro.congest.network import BandwidthExceeded, CongestNetwork, run_program
 from repro.congest.node import Node, NodeProgram
@@ -207,6 +211,66 @@ class TestExecution:
 
     def test_both_engines_strict_mode(self):
         graph = nx.path_graph(2)
-        for engine in ("dense", "event", "columnar"):
+        for engine in ("dense", "event"):
             with pytest.raises(BandwidthExceeded):
                 run_program(graph, BigSender, bandwidth=10, strict=True, engine=engine)
+
+    @pytest.mark.parametrize("engine", ["dense", "event"])
+    def test_finished_network_is_freed_without_gc(self, engine):
+        # Nodes point back at their network; that back-reference must not
+        # form a cycle, or every finished network (and its transport's
+        # per-edge queues) lingers until a full collection.
+        graph = nx.cycle_graph(8)
+        gc.disable()
+        try:
+            network = CongestNetwork(graph, FloodProgram, engine=engine)
+            network.run()
+            ref = weakref.ref(network)
+            del network
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("engine", ["dense", "event"])
+    def test_finished_faulted_network_is_freed_without_gc(self, engine):
+        # The fault wrapper holds its own tracer and plan, and topology
+        # events splice the nodes' neighbour tuples mid-run; none of it may
+        # tie the finished network into a cycle either.
+        graph = nx.cycle_graph(10)
+        plan = FaultPlan.generate(
+            graph, seed=3, drop_prob=0.1, dup_prob=0.1, n_crashes=1, crash_length=3,
+            n_edge_deletes=1, n_edge_inserts=1, window=(1, 6), protect=[0],
+        )
+        assert plan.crashes and plan.topology_events
+        gc.disable()
+        try:
+            network = CongestNetwork(graph, FloodProgram, engine=engine, faults=plan)
+            network.run(max_rounds=30)
+            ref = weakref.ref(network)
+            del network
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("engine", ["dense", "event"])
+    def test_quiescence_waits_for_a_multi_round_message(self, engine):
+        # Nobody halts; the only traffic is one 100-bit message crawling
+        # over B=10.  Every round of its transit moves bits, so the
+        # quiescence stop must not fire before it lands in round 10.
+        class SlowSilent(NodeProgram):
+            def on_start(self, node):
+                if node.id == 0:
+                    node.send(1, "x" * 100, bits=100)
+
+            def on_round(self, node, round_no, inbox):
+                if inbox:
+                    node.output = round_no
+
+        network = CongestNetwork(nx.path_graph(2), SlowSilent, bandwidth=10, engine=engine)
+        result = network.run(max_rounds=500, stop_on_quiescence=True)
+        assert result.outputs[1] == 10
+        assert result.rounds == 10
+        assert result.total_bits == 100
+        # The silent probe round that detected quiescence is not counted.
+        assert result.per_round_bits[: result.rounds] == [10] * 10
+        assert network.pending_traffic() == 0

@@ -41,6 +41,17 @@ class TestScenariosCatalog:
             assert f"## `{scn.name}`" in committed
 
 
+class TestTraceEventCatalog:
+    def test_every_congest_event_name_is_documented(self):
+        doc = (REPO / "docs" / "observability.md").read_text()
+        names = set()
+        for path in (REPO / "src" / "repro" / "congest").glob("*.py"):
+            names.update(re.findall(r'\.event\(\s*"([a-z_]+)"', path.read_text()))
+        assert "columnar_summary" in names and "fault_topology" in names
+        missing = sorted(name for name in names if f"| `{name}`" not in doc)
+        assert not missing, f"docs/observability.md lacks named events: {missing}"
+
+
 class TestDocLinks:
     @pytest.mark.parametrize(
         "doc", sorted(p.name for p in (REPO / "docs").glob("*.md")) + ["README.md"]

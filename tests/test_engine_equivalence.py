@@ -1,6 +1,6 @@
-"""Cross-engine equivalence: Dense, Event and Columnar must agree.
+"""Cross-engine equivalence: Dense and Event must agree.
 
-Every registered algorithm family runs on each engine over seeded random
+Every registered algorithm family runs on both engines over seeded random
 graphs; the full ``RunResult`` must match the dense reference field for
 field (rounds, bits, messages, outputs, halted -- and the per-round bit
 trace, which pins down the transport's O(1) skip accounting exactly).  This
@@ -8,10 +8,13 @@ is the contract that makes the event engine a drop-in default: any
 idleness hint that skips a round the dense engine needed would show up
 here as a divergence.
 
-The columnar engine swaps the whole transport layout (struct-of-arrays staging, lazy per-edge
-head accounting, a completion-clock heap) plus the batched min-edge
-reduction service, so its runs pin all of that to the reference semantics
-at once.
+The two engines share no transport code: dense runs the reference
+``LinkTransport`` and the per-neighbour min-edge scan, event runs the
+struct-of-arrays ``ColumnarTransport`` (lazy per-edge head accounting, a
+completion-clock heap) plus the batched min-edge reduction service, so
+each run pins all of that to the reference semantics at once.  Each check
+also runs once under an enabled tracer, which takes the trace-gated
+branches of both engines and of the columnar flush.
 """
 
 import networkx as nx
@@ -32,13 +35,38 @@ from repro.algorithms.framework import (
 from repro.algorithms.mst import run_boruvka_mst, run_gkp_mst, tree_weight
 from repro.algorithms.paths import run_bellman_ford
 from repro.algorithms.verification import run_verification
+from repro.congest.columnar import ColumnarTransport
 from repro.congest.engine import _ENGINES, get_engine
 from repro.congest.network import CongestNetwork, run_program
 from repro.congest.node import Node, NodeProgram
+from repro.congest.transport import LinkTransport
 from repro.graphs.generators import random_connected_graph
+from repro.obs.trace import CollectingTracer, use_tracer
 
-#: The engines checked against the dense reference.
-ENGINES = ("event", "columnar")
+#: The cases checked against the dense reference: the event engine, and
+#: the event engine again with the whole test under a collecting tracer.
+ENGINES = ("event", "traced")
+
+
+@pytest.fixture(params=ENGINES)
+def engine(request):
+    """The engine name a test runs against the dense reference.
+
+    In the ``traced`` case the whole test -- its dense reference runs
+    included -- runs under an enabled tracer.  Both engines and
+    ``ColumnarTransport.flush`` take trace-gated branches then, and those
+    branches must not move a single round, bit or output.
+    """
+    if request.param != "traced":
+        yield request.param
+        return
+    tracer = CollectingTracer()
+    with use_tracer(tracer):
+        yield "event"
+    # The traced case must really have run the event stack traced.
+    names = {line["name"] for line in tracer.by_kind("event")}
+    assert "columnar_summary" in names
+    assert tracer.by_kind("round")
 
 
 def assert_results_match(dense, other):
@@ -66,7 +94,6 @@ def _weighted(n, seed, extra_edge_prob=0.1):
 
 
 class TestMstEquivalence:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("seed", [0, 7, 23])
     def test_gkp_mst(self, seed, engine):
         graph = _weighted(26, seed)
@@ -81,7 +108,6 @@ class TestMstEquivalence:
         )
         assert abs(tree_weight(graph, edges_other) - reference) < 1e-9
 
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_boruvka_mst(self, engine):
         graph = _weighted(16, 3)
         edges_dense, dense = run_boruvka_mst(graph, bandwidth=128, seed=0, engine="dense")
@@ -91,7 +117,6 @@ class TestMstEquivalence:
         assert_results_match(dense, other)
         assert edges_other == edges_dense
 
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_elkin_staged_flood(self, engine):
         graph = _weighted(24, 11)
         weight_dense, dense = run_elkin_approx_mst(graph, alpha=2.0, engine="dense")
@@ -103,7 +128,6 @@ class TestMstEquivalence:
 
 
 class TestVerificationEquivalence:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize(
         "problem", ["spanning tree", "connectivity", "bipartiteness", "s-t connectivity", "cut"]
     )
@@ -124,7 +148,6 @@ class TestVerificationEquivalence:
 
 
 class TestQuiescenceEquivalence:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("seed", [2, 9])
     def test_bellman_ford(self, seed, engine):
         graph = _weighted(25, seed)
@@ -136,7 +159,6 @@ class TestQuiescenceEquivalence:
         expected = nx.single_source_dijkstra_path_length(graph, source)
         assert dist_other == pytest.approx(expected)
 
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_quiescent_from_start(self, engine):
         # No program ever sends: every engine stops at the same (zero-ish)
         # round under quiescence detection.
@@ -151,7 +173,6 @@ class TestQuiescenceEquivalence:
         other = other_net.run(max_rounds=500, stop_on_quiescence=True)
         assert_results_match(dense, other)
 
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_max_rounds_without_halting(self, engine):
         # Nodes never halt and traffic dies out: the active-set engines must
         # idle the clock out to max_rounds exactly like the dense engine.
@@ -177,7 +198,6 @@ class TestQuiescenceEquivalence:
 
 
 class TestFrameworkEquivalence:
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_leader_bfs_convergecast_broadcast(self, engine):
         graph = random_connected_graph(20, extra_edge_prob=0.1, seed=4)
         d = nx.diameter(graph)
@@ -210,7 +230,6 @@ class TestFrameworkEquivalence:
         assert_results_match(results["dense"], results[engine])
         assert results[engine].unanimous_output() == 20
 
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_pipelined_up_and_downcast(self, engine):
         graph = random_connected_graph(12, extra_edge_prob=0.1, seed=8)
         d = nx.diameter(graph)
@@ -249,7 +268,6 @@ class TestFrameworkEquivalence:
         assert_results_match(results["dense"], results[engine])
         assert results[engine].unanimous_output() == sorted(range(12))
 
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_centralised_skeleton(self, engine):
         graph = _weighted(14, 6)
         answer_dense, dense = run_centralised(
@@ -263,7 +281,6 @@ class TestFrameworkEquivalence:
 
 
 class TestDefaultHintsEquivalence:
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_unhinted_program_runs_identically(self, engine):
         # A program with no idleness hints: the active-set engines
         # degenerate to stepping every node every round and must match
@@ -285,7 +302,6 @@ class TestDefaultHintsEquivalence:
 
 
 class TestMessageLogEquivalence:
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_opt_in_message_log_is_byte_identical(self, engine):
         """record_messages=True: the (round, sender, receiver, bits) log --
         an *ordered* artifact -- must come out identical, which pins every
@@ -318,7 +334,7 @@ class TestMessageLogEquivalence:
 
 class TestStrictErrorPath:
     def test_strict_error_path_metrics_match_dense(self):
-        """A strict-mode violation mid-round: every engine must raise the
+        """A strict-mode violation mid-round: both engines must raise the
         same error AND leave the same transport totals -- sends staged by
         nodes before the offender count."""
         from repro.congest.network import BandwidthExceeded
@@ -335,24 +351,23 @@ class TestStrictErrorPath:
 
         graph = nx.path_graph(8)
         totals = {}
-        for name, spec in (
-            ("dense", "dense"),
-            ("event", "event"),
-            ("columnar", "columnar"),
-        ):
+        for name in ("dense", "event"):
             network = CongestNetwork(
-                graph, OneOversized, bandwidth=8, strict=True, engine=spec
+                graph, OneOversized, bandwidth=8, strict=True, engine=name
             )
             with pytest.raises(BandwidthExceeded):
                 network.run(max_rounds=10)
             totals[name] = (network.total_messages, network.total_bits)
-        assert totals["columnar"] == totals["dense"] == totals["event"]
+        assert totals["event"] == totals["dense"]
 
 
 class TestEngineNames:
     def test_get_engine_rejects_retired_names_and_thread_counts(self):
-        # The thread-sharded engine and both kernel-pinned columnar names.
-        retired = ["parallel"] + [f"columnar-{kernels}" for kernels in ("stdlib", "numpy")]
+        # The thread-sharded engine, the kernel-pinned columnar names, the
+        # columnar engine (now the event engine's stack) and auto-selection.
+        retired = ["parallel", "columnar", "auto"] + [
+            f"columnar-{kernels}" for kernels in ("stdlib", "numpy")
+        ]
         for name in retired:
             with pytest.raises(ValueError, match="unknown engine") as info:
                 get_engine(name)
@@ -360,7 +375,14 @@ class TestEngineNames:
                 assert repr(known) in str(info.value)
         with pytest.raises(ValueError, match="thread"):
             get_engine("event", threads=2)
-        assert sorted(_ENGINES) == ["auto", "columnar", "dense", "event"]
+        assert sorted(_ENGINES) == ["dense", "event"]
+        # Accepted for callers that pass the workload, and ignored.
+        assert get_engine("dense", graph=nx.path_graph(3)).name == "dense"
+
+    def test_engines_run_transports_that_share_no_code(self):
+        assert get_engine("dense").transport_class is LinkTransport
+        assert get_engine("event").transport_class is ColumnarTransport
+        assert not issubclass(ColumnarTransport, LinkTransport)
 
 
 class TestIdlenessHints:
@@ -412,7 +434,7 @@ class TestFaultEquivalence:
 
         return Chatter
 
-    @pytest.mark.parametrize("engine", ("dense",) + ENGINES)
+    @pytest.mark.parametrize("engine", ("dense",) + ENGINES, indirect=True)
     def test_empty_plan_is_byte_identical_to_no_plan(self, engine):
         from repro.congest.faults import FaultPlan
 
@@ -434,7 +456,6 @@ class TestFaultEquivalence:
         assert wrapped_log == bare_log
         assert bare.fault_stats is None and wrapped.fault_stats is None
 
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_nontrivial_plan_is_byte_identical_across_engines(self, engine):
         from repro.algorithms.paths import run_refreshing_bellman_ford
         from repro.congest.faults import FaultPlan
@@ -465,7 +486,6 @@ class TestFaultEquivalence:
         assert other.fault_stats == dense.fault_stats
         assert other.fault_stats is not None and other.fault_stats["drops"] > 0
 
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_faulted_message_log_is_byte_identical(self, engine):
         """record_messages under a plan: the offered-load log (drops
         included, duplicates not) is an ordered artifact and must agree
@@ -493,12 +513,10 @@ class TestFaultEquivalence:
 
 
 class TestEventEngineSkips:
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_quiet_rounds_are_not_stepped(self, engine):
         # The Elkin staged flood is mostly quiet by design: the active-set
-        # engines must step far fewer node-rounds than the dense n x rounds
-        # grid (the columnar engine inherits the event clock, so its step
-        # counter obeys the same bound).
+        # engine must step far fewer node-rounds than the dense n x rounds
+        # grid.
         graph = _weighted(24, 11)
         from repro.algorithms.elkin import StagedLabelFloodProgram, quantise_weights
 

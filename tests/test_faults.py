@@ -4,11 +4,11 @@ Covers the three seams the layer adds under the engines:
 
 - :class:`FaultPlan` as a pure value -- validation, hash-decision purity,
   schedule queries, deterministic generation;
-- :class:`FaultyTransport` wire semantics on a bare ``LinkTransport`` --
+- :class:`FaultyTransport` wire semantics on a bare transport --
   drops/dups/reorders with offered-load accounting, crash and link loss at
-  delivery, the skip-rounds guard that keeps the event engines honest;
-- end-to-end recovery correctness and the exactness of the event/columnar
-  engines' skip accounting across crash/recovery wake-ups (byte-identical
+  delivery, the skip-rounds guard that keeps the event engine honest;
+- end-to-end recovery correctness and the exactness of the event
+  engine's skip accounting across crash/recovery wake-ups (byte-identical
   to the dense reference, which never skips).
 """
 
@@ -17,6 +17,7 @@ import pytest
 
 from repro.algorithms.mst import run_boruvka_mst, tree_weight
 from repro.algorithms.paths import run_refreshing_bellman_ford
+from repro.congest.columnar import ColumnarTransport
 from repro.congest.faults import (
     CrashSpan,
     FaultPlan,
@@ -336,7 +337,7 @@ class TestFaultyTransportWire:
 
     def test_skip_rounds_refuses_to_cross_an_event(self):
         plan = FaultPlan(crashes=((0, 5, 9),))
-        transport = FaultyTransport(LinkTransport(bandwidth=8), plan)
+        transport = FaultyTransport(ColumnarTransport(bandwidth=8), plan)
         with pytest.raises(RuntimeError, match="skip_rounds crossed a scheduled fault event"):
             transport.skip_rounds(10)
         # Skipping short of the event is fine and keeps the clocks aligned.
@@ -463,12 +464,12 @@ def _assert_results_match(dense, other):
 
 
 class TestSkipAccountingUnderFaults:
-    """The event/columnar skip-jump accounting must stay exact when crash
-    recoveries and topology events force extra wake-ups: every engine's
-    RunResult (including the per-round bit trace) matches the dense
-    reference, which never skips at all."""
+    """The event engine's skip-jump accounting must stay exact when crash
+    recoveries and topology events force extra wake-ups: its RunResult
+    (including the per-round bit trace) matches the dense reference, which
+    never skips at all."""
 
-    @pytest.mark.parametrize("engine", ["event", "columnar"])
+    @pytest.mark.parametrize("engine", ["event"])
     def test_refreshing_bf_under_full_plan_matches_dense(self, engine):
         graph = _weighted(18, 2)
         source = min(graph.nodes())

@@ -134,7 +134,7 @@ class TestTraceWriter:
 
 
 class TestExactAccounting:
-    @pytest.mark.parametrize("engine", ["dense", "event", "columnar"])
+    @pytest.mark.parametrize("engine", ["dense", "event"])
     def test_round_bit_samples_sum_to_run_result(self, engine):
         graph = _graph(seed=7)
         tracer = CollectingTracer()
@@ -152,7 +152,7 @@ class TestExactAccounting:
     def test_engines_agree_on_counter_totals(self):
         graph = _graph(seed=11)
         totals = {}
-        for name in ("dense", "event", "columnar"):
+        for name in ("dense", "event"):
             tracer = CollectingTracer()
             with use_tracer(tracer):
                 run_bellman_ford(graph, min(graph.nodes()), engine=name)
@@ -163,7 +163,6 @@ class TestExactAccounting:
                 summary["moved_bits"],
             )
         assert totals["event"] == totals["dense"]
-        assert totals["columnar"] == totals["dense"]
 
 
 class TestSweepTraces:
