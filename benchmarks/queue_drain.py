@@ -1,19 +1,18 @@
 """Benchmark the work-queue spool: drain throughput, scan cost, stealing.
 
-Three measurement groups, all landing in one artifact (``BENCH_pr9.json``):
+Two measurement groups plus a correctness check, all landing in one
+artifact (``BENCH_pr9.json``):
 
-- **Drain throughput** (``queue-drain-1e3``, ``queue-drain-1e4``): enqueue
-  N synthetic noop tickets and drain them with one in-process worker
-  (inline execution, so spool mechanics dominate), once against the
-  legacy flat layout (``shards=0``: one sorted directory listing per
-  claim, O(spool)) and once against the sharded layout (per-shard ready
-  indexes, O(batch)).  ``speedup`` = sharded tickets/sec over flat.  At
-  10^4 the flat drain is *sampled* (first 1000 claims against the full
-  spool) -- draining it completely is quadratic, which is the point.
-- **Scan cost** (``queue-drain-scan``): full directory listings performed
-  per drain, flat over sharded -- the direct measure of the ready-index
-  fast path (the flat layout scans once per claim, the sharded one a
-  handful of times per drain).
+- **Drain** (``queue-drain-1e3``, ``queue-drain-1e4``): enqueue N
+  synthetic noop tickets and drain them with one in-process worker
+  (inline execution, so spool mechanics dominate).  Each group reports
+  the best-of-N tickets/sec and, for every drain, its ``SpoolStats``
+  counters.  The counters are deterministic, so they -- not the
+  wall-clock rate -- are the gate: every drain must serve each ticket
+  from the ready index (``claimed == index_hits == N``), with at most
+  :data:`MAX_FULL_SCANS` full directory listings and
+  :data:`MAX_INDEX_READS` index reads, and no rename misses or
+  compactions.
 - **Steal effectiveness** (``queue-drain-steal``): a deliberately skewed
   spool -- one big block ticket of slow points plus a tail of small
   tickets -- drained by two worker daemons, with work stealing off and
@@ -22,8 +21,9 @@ Three measurement groups, all landing in one artifact (``BENCH_pr9.json``):
   points.  ``speedup`` = makespan(no steal) / makespan(steal).
 
 A store-backed equivalence pass (worker shard -> ``ResultStore.merge``)
-cross-checks that sharded-spool records are field-identical to a serial
-run of the same sweep, modulo ``duration_s``.
+cross-checks that spool-drained records are field-identical to a serial
+run of the same sweep, modulo ``duration_s``.  The script exits 1 unless
+the equivalence check and every drain's counter gate hold.
 
 Usage::
 
@@ -59,6 +59,11 @@ from repro.experiments.store import cache_key
 #: Idle period after which the draining worker concludes the spool is dry.
 _IDLE = 0.3
 
+#: Counter ceilings for one drain, measured at 10^3 and 10^4 tickets: one
+#: verification scan when the spool runs dry, one index read per shard.
+MAX_FULL_SCANS = 1
+MAX_INDEX_READS = 8
+
 
 def _tasks(scenario_name: str, grid: dict, **task_kwargs) -> list[Task]:
     points = expand_grid(get_scenario(scenario_name), grid)
@@ -75,49 +80,22 @@ def _tasks(scenario_name: str, grid: dict, **task_kwargs) -> list[Task]:
     ]
 
 
-def drain_once(n: int, shards: int | None, sample: int | None = None) -> dict:
-    """Enqueue ``n`` noop tickets, drain in-process, return rate + stats.
-
-    ``sample`` drains only that many tickets against the still-full spool
-    (the 10^4 flat case, where a complete drain is quadratic).
-    """
+def drain_once(n: int) -> dict:
+    """Enqueue ``n`` noop tickets, drain in-process, return rate + stats."""
     with tempfile.TemporaryDirectory(prefix="queue-drain-") as tmp:
         qdir = Path(tmp) / "q"
-        backend = WorkQueueBackend(qdir, workers=0, shards=shards)
+        backend = WorkQueueBackend(qdir, workers=0)
         t0 = time.perf_counter()
         for task in _tasks("queue-drain-noop", {"i": list(range(n))}):
             backend.submit(task)
         enqueue_s = time.perf_counter() - t0
         stats = SpoolStats()
-        budget = sample if sample is not None else n
         t0 = time.perf_counter()
-        if sample is not None:
-            # Sampled drain: claim + execute `sample` tickets by hand so
-            # the timing never includes an idle-out period.
-            from repro.experiments.backends.spool import ShardedSpool
-
-            spool = ShardedSpool(backend.paths, stats=stats)
-            done = 0
-            while done < budget:
-                claimed = spool.claim(1)
-                if not claimed:
-                    break
-                name, _ = claimed[0]
-                (backend.paths.claims / name).unlink()
-                backend.paths.heartbeat(name).unlink(missing_ok=True)
-                done += 1
-            drain_s = time.perf_counter() - t0
-        else:
-            done = run_worker(
-                qdir, max_idle=_IDLE, poll_interval=0.01, inline=True, stats=stats
-            )
-            drain_s = time.perf_counter() - t0 - _IDLE  # idle-out is not drain time
-        assert done == budget, f"drained {done}/{budget}"
+        done = run_worker(qdir, max_idle=_IDLE, poll_interval=0.01, inline=True, stats=stats)
+        drain_s = time.perf_counter() - t0 - _IDLE  # idle-out is not drain time
+        assert done == n, f"drained {done}/{n}"
         return {
-            "layout": "flat" if shards == 0 else "sharded",
             "tickets": n,
-            "drained": done,
-            "sampled": sample is not None,
             "enqueue_s": round(enqueue_s, 4),
             "drain_s": round(drain_s, 4),
             "tickets_per_s": round(done / drain_s, 1),
@@ -125,39 +103,29 @@ def drain_once(n: int, shards: int | None, sample: int | None = None) -> dict:
         }
 
 
-def bench_drain(n: int, sample_flat: int | None = None, repeats: int = 2) -> list[dict]:
-    """The flat-vs-sharded drain pair at one spool size (best-of-N)."""
-    suffix = f"1e{len(str(n)) - 1}"
-    drain_once(64, shards=None)  # warmup: imports, allocator, page cache
+def counters_ok(drain: dict) -> bool:
+    """The deterministic scan-cost gate for one drain."""
+    s = drain["stats"]
+    return (
+        s["claimed"] == s["index_hits"] == drain["tickets"]
+        and s["full_scans"] <= MAX_FULL_SCANS
+        and s["index_reads"] <= MAX_INDEX_READS
+        and s["rename_misses"] == s["compactions"] == 0
+    )
 
-    def best(shards: int | None, sample: int | None) -> dict:
-        runs = [drain_once(n, shards=shards, sample=sample) for _ in range(repeats)]
-        return max(runs, key=lambda r: r["tickets_per_s"])
 
-    flat = best(0, sample_flat)
-    sharded = best(None, None)
-    drain_group = {
-        "group": f"queue-drain-{suffix}",
+def bench_drain(n: int, repeats: int = 2) -> dict:
+    """Drains of an ``n``-ticket spool: best-of-N rate, every drain's counters."""
+    drain_once(64)  # warmup: imports, allocator, page cache
+    runs = [drain_once(n) for _ in range(repeats)]
+    best = max(runs, key=lambda r: r["tickets_per_s"])
+    return {
+        "group": f"queue-drain-1e{len(str(n)) - 1}",
         "tickets": n,
-        "flat": flat,
-        "sharded": sharded,
-        "speedup": round(sharded["tickets_per_s"] / flat["tickets_per_s"], 3),
+        "tickets_per_s": best["tickets_per_s"],
+        "runs": runs,
+        "counters_ok": all(counters_ok(run) for run in runs),
     }
-    groups = [drain_group]
-    if sample_flat is None:
-        # Scan-cost ratio only where both sides drained the whole spool.
-        groups.append(
-            {
-                "group": f"queue-drain-scan-{suffix}",
-                "flat_full_scans": flat["stats"]["full_scans"],
-                "sharded_full_scans": sharded["stats"]["full_scans"],
-                "sharded_index_hits": sharded["stats"]["index_hits"],
-                "speedup": round(
-                    flat["stats"]["full_scans"] / max(sharded["stats"]["full_scans"], 1), 1
-                ),
-            }
-        )
-    return groups
 
 
 def _worker_env() -> dict[str, str]:
@@ -234,7 +202,7 @@ def _comparable(records) -> list[dict]:
 
 
 def check_equivalence(n: int) -> dict:
-    """Sharded-spool drain + shard merge vs a serial run: field-identical."""
+    """Spool drain + shard merge vs a serial run: field-identical."""
     points = expand_grid(get_scenario("queue-drain-noop"), {"i": list(range(n))})
     with tempfile.TemporaryDirectory(prefix="queue-equiv-") as tmp:
         tmp_path = Path(tmp)
@@ -271,28 +239,31 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    groups = bench_drain(1000)
-    if not args.quick:
-        groups += bench_drain(10_000, sample_flat=1000)
-    groups.append(bench_steal(*((12, 8, 0.05) if args.quick else (30, 12, 0.05))))
+    drains = [bench_drain(n) for n in ((1000,) if args.quick else (1000, 10_000))]
+    steal = bench_steal(*((12, 8, 0.05) if args.quick else (30, 12, 0.05)))
     equivalence = check_equivalence(100)
 
-    for group in groups:
-        print(f"{group['group']}: speedup {group['speedup']}x")
+    for group in drains:
+        print(
+            f"{group['group']}: {group['tickets_per_s']} tickets/s, "
+            f"counters_ok={group['counters_ok']}"
+        )
+        for run in group["runs"]:
+            print(f"  stats {run['stats']}")
+    print(f"{steal['group']}: speedup {steal['speedup']}x")
     print(f"equivalence: match={equivalence['records_match_serial']}")
 
     payload = {
         "benchmark": "queue_drain",
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "groups": groups,
+        "groups": [*drains, steal],
         "equivalence": equivalence,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
-    ok = equivalence["records_match_serial"]
-    headline = next(g for g in groups if g["group"] == "queue-drain-1e3")
-    return 0 if ok and headline["speedup"] >= 1.0 else 1
+    ok = equivalence["records_match_serial"] and all(g["counters_ok"] for g in drains)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -13,8 +13,6 @@ points into outcome dicts behind the :class:`ExecutionBackend`
   runtime watchdog, block tickets and point-granular work stealing
   (:mod:`~repro.experiments.backends.spool` holds the layout,
   :mod:`~repro.experiments.backends.fleet` the elastic supervisor).
-
-Every future backend (job queue, SSH fleet) plugs into the same seam.
 """
 
 from __future__ import annotations
@@ -42,9 +40,7 @@ def resolve_backend(
     mp_start_method: str = "spawn",
     maxtasksperchild: int | None = 16,
     queue_dir: str | os.PathLike | None = None,
-    claim_batch: int = 1,
     points_per_ticket: int = 1,
-    shards: int | None = None,
 ) -> ExecutionBackend:
     """Build a backend from a CLI-style name.
 
@@ -78,9 +74,7 @@ def resolve_backend(
             queue_dir,
             workers=max(workers, 0),
             mp_start_method=mp_start_method,
-            claim_batch=claim_batch,
             points_per_ticket=points_per_ticket,
-            shards=shards,
         )
     raise ValueError(f"unknown backend {spec!r}; known: {BACKEND_NAMES}")
 

@@ -79,10 +79,10 @@ class FleetController:
     """Supervise a local worker fleet against one spool directory.
 
     ``store_prefix`` gives each worker its own result-store shard
-    (``<prefix>-<n>``) for later ``merge``; ``inline`` / ``claim_batch``
-    / ``max_idle`` / ``mp_start_method`` are passed through to the
-    workers.  ``worker_env`` extends the daemons' environment (tests use
-    it for ``PYTHONPATH``).
+    (``<prefix>-<n>``) for later ``merge``; ``inline`` / ``max_idle`` /
+    ``mp_start_method`` are passed through to the workers.
+    ``worker_env`` extends the daemons' environment (tests use it for
+    ``PYTHONPATH``).
     """
 
     def __init__(
@@ -95,7 +95,6 @@ class FleetController:
         cooldown: float = 2.0,
         store_prefix: str | None = None,
         inline: bool = False,
-        claim_batch: int = 1,
         max_idle: float | None = None,
         mp_start_method: str = "spawn",
         worker_env: dict[str, str] | None = None,
@@ -115,7 +114,6 @@ class FleetController:
         self.cooldown = cooldown
         self.store_prefix = store_prefix
         self.inline = inline
-        self.claim_batch = max(1, claim_batch)
         self.max_idle = max_idle
         self.mp_start_method = mp_start_method
         self.say = progress or logger.info
@@ -141,8 +139,6 @@ class FleetController:
             str(self.paths.root),
             "--stop-file",
             str(stop_file),
-            "--claim-batch",
-            str(self.claim_batch),
             "--mp-start",
             self.mp_start_method,
         ]

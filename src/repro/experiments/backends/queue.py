@@ -4,10 +4,9 @@ The spool is a directory (local disk or shared filesystem) whose layout
 lives in :mod:`repro.experiments.backends.spool`::
 
     <queue-dir>/
-        spool.json                  # layout marker ({"shards": N})
+        spool.json                  # layout guard ({"shards": 8})
         shards/sNN/<name>.json      # unclaimed tickets, hash-sharded
         index/sNN.log               # per-shard ready index (append-on-enqueue)
-        tasks/<name>.json           # legacy flat layout (still drained)
         claims/<name>.json          # claimed tickets (atomic-rename leases)
         claims/<name>.hb            # heartbeat, touched while the ticket runs
         claims/<name>.rest          # owner-published not-yet-started points
@@ -18,8 +17,9 @@ lives in :mod:`repro.experiments.backends.spool`::
 
 Claiming is an atomic ``os.rename`` from the spool into ``claims/``:
 exactly one of any number of racing daemons wins; the losers see the file
-gone and move on.  The per-shard ready index makes a claim O(batch)
-instead of O(spool) -- see ``spool.py`` for the scan-cost story.
+gone and move on.  The per-shard ready index makes a claim O(1)
+amortised instead of O(spool) -- see ``spool.py`` for the scan-cost
+story.
 
 **Tickets carry one or more sweep points.**  A multi-point ("block")
 ticket amortises claim overhead over its points and is the unit of
@@ -69,7 +69,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.experiments.backends.base import ExecutionBackend, Task, execute_point
-from repro.experiments.backends.spool import QueuePaths, ShardedSpool, SpoolStats
+from repro.experiments.backends.spool import SHARDS, QueuePaths, ShardedSpool, SpoolStats
 from repro.experiments.store import ResultRecord, ResultStore, atomic_write_text
 from repro.obs.trace import NULL_TRACER, TraceWriter, trace_dir_from_env
 
@@ -114,48 +114,29 @@ def point_payload(task: Task) -> dict:
 
 
 def point_result_name(point: dict, nonce: str) -> str:
-    """The per-point result filename (and v1 single-ticket name): the
-    index prefix keeps listings in grid order, the content-hash key makes
-    duplicate executions land on the same file, and the per-sweep nonce
-    keeps concurrent sweeps with overlapping points on a shared spool
-    from clobbering each other's in-flight state."""
+    """The per-point result filename: the index prefix keeps listings in
+    grid order, the content-hash key makes duplicate executions land on
+    the same file, and the per-sweep nonce keeps concurrent sweeps with
+    overlapping points on a shared spool from clobbering each other's
+    in-flight state."""
     return f"{point['index']:06d}-{point['key']}-{nonce}.json"
 
 
-def ticket_name(tasks: list[Task] | Task, nonce: str, tag: str | None = None) -> str:
-    """Ticket filename for one task or a block of tasks.
+def ticket_name(points: list[dict], nonce: str, tag: str | None = None) -> str:
+    """Ticket filename ``<index>-blk<k>[-<tag>]-<digest>-<nonce>.json``.
 
-    A single-point ticket keeps the historical ``<index>-<key>-<nonce>``
-    name (which doubles as its result filename); a block ticket hashes
-    its keys.  ``tag`` distinguishes republished generations (reclaims,
-    steals) so a fresh claim can never collide with a stale lease of the
-    same name.
+    ``points`` are ticket point dicts (see :func:`point_payload`); the
+    digest hashes their cache keys.  ``tag`` distinguishes republished
+    generations (reclaims, steals, stop-time remainders) so a fresh claim
+    can never collide with a stale lease of the same name.
     """
-    if isinstance(tasks, Task):
-        tasks = [tasks]
-    if len(tasks) == 1 and tag is None:
-        return f"{tasks[0].index:06d}-{tasks[0].key}-{nonce}.json"
-    digest = hashlib.sha256("/".join(t.key for t in tasks).encode()).hexdigest()[:12]
-    parts = [f"{tasks[0].index:06d}", f"blk{len(tasks)}"]
-    if tag:
-        parts.append(tag)
-    parts.append(digest)
-    parts.append(nonce)
-    return "-".join(parts) + ".json"
+    digest = hashlib.sha256("/".join(p["key"] for p in points).encode()).hexdigest()[:12]
+    parts = [f"{points[0]['index']:06d}", f"blk{len(points)}", tag, digest, nonce]
+    return "-".join(part for part in parts if part) + ".json"
 
 
-def _carve_name(points: list[dict], nonce: str, tag: str) -> str:
-    """Name for a republished subset ticket (reclaim or steal carve-off)."""
-    digest = hashlib.sha256(
-        "/".join(str(p.get("key")) for p in points).encode()
-    ).hexdigest()[:12]
-    return f"{points[0]['index']:06d}-blk{len(points)}-{tag}-{digest}-{nonce}.json"
-
-
-def ticket_payload(tasks: list[Task] | Task, nonce: str) -> dict:
+def ticket_payload(tasks: list[Task], nonce: str) -> dict:
     """The self-contained JSON body a daemon needs to execute the ticket."""
-    if isinstance(tasks, Task):
-        tasks = [tasks]
     first = tasks[0]
     points = []
     for task in tasks:
@@ -172,22 +153,6 @@ def ticket_payload(tasks: list[Task] | Task, nonce: str) -> dict:
         "attempts": 0,
         "nonce": nonce,
     }
-
-
-def points_of(ticket: dict, name: str = "") -> list[dict]:
-    """The ticket's point list; wraps a legacy single-point (v1) payload.
-
-    A v1 ticket's result has always been written under the ticket's own
-    filename, so the synthesized point carries it as ``result_name``.
-    """
-    if "points" in ticket:
-        return ticket["points"]
-    point = {
-        k: ticket.get(k)
-        for k in ("index", "scenario", "params", "seed", "replicate", "key")
-    }
-    point["result_name"] = name
-    return [point]
 
 
 def record_from_point(ticket: dict, point: dict, outcome: dict) -> ResultRecord:
@@ -231,7 +196,6 @@ def _execute_with_watchdog(
     modules: list,
     heartbeat: Path,
     mp_start_method: str = "spawn",
-    extra_heartbeats: tuple[Path, ...] = (),
 ) -> dict:
     """Run one ticket point in a child process under a runtime-limit watchdog.
 
@@ -240,11 +204,6 @@ def _execute_with_watchdog(
     ``timeout`` outcome, and a child that dies without reporting (crash,
     OOM-kill) becomes an ``error`` outcome -- the point never goes
     unanswered.
-
-    ``extra_heartbeats`` are leases this daemon holds beyond the running
-    ticket's (batch-claimed tickets waiting their turn); they are touched on
-    the same tick so the collector does not requeue work the daemon is
-    definitely going to execute.
     """
     ctx = multiprocessing.get_context(mp_start_method)
     recv, send = ctx.Pipe(duplex=False)
@@ -263,11 +222,6 @@ def _execute_with_watchdog(
     try:
         while outcome is None:
             heartbeat.touch()
-            for pending in extra_heartbeats:
-                # A batch-mate released early (requeued by the collector and
-                # finished elsewhere) must not be resurrected by a touch.
-                if pending.exists():
-                    pending.touch()
             if recv.poll(_WATCHDOG_TICK):
                 try:
                     outcome = recv.recv()
@@ -357,14 +311,14 @@ def try_steal(
         # The owner completed between the scan and the carve; retract.
         steal_path.unlink(missing_ok=True)
         return False
-    points = points_of(ticket, best_name)
+    points = ticket["points"]
     carved = [points[q] for q in take if q < len(points)]
     if not carved:
         steal_path.unlink(missing_ok=True)
         return False
     payload = dict(ticket)
     payload["points"] = carved
-    new_name = _carve_name(carved, ticket.get("nonce", "steal"), f"s{uuid.uuid4().hex[:6]}")
+    new_name = ticket_name(carved, ticket["nonce"], f"s{uuid.uuid4().hex[:6]}")
     spool.enqueue(new_name, payload)
     tracer.event("steal", ticket=best_name, points=len(carved), carved=new_name)
     if say is not None:
@@ -380,7 +334,6 @@ def run_worker(
     mp_start_method: str = "spawn",
     progress: Callable[[str], None] | None = None,
     stop_file: str | os.PathLike | None = None,
-    claim_batch: int = 1,
     inline: bool = False,
     steal: bool = True,
     stats: SpoolStats | None = None,
@@ -393,11 +346,10 @@ def run_worker(
     controller dismisses only the daemons it spawned, without touching
     external ones).
 
-    ``claim_batch`` claims up to that many tickets per claim pass
-    (index-entry consumption, not directory scans -- see ``spool.py``) and
-    executes them in claim order, heartbeating the waiting batch-mates
-    while each runs.  Stop sentinels are honoured between points,
-    republishing any still-unexecuted work back to the spool.
+    The daemon claims one ticket at a time (an index-entry read, not a
+    directory scan -- see ``spool.py``).  Stop sentinels are honoured
+    between points: the claimed ticket's unexecuted points are
+    republished to the spool as one fresh ticket.
 
     ``inline`` executes timeout-less points in-process instead of under
     the subprocess watchdog -- much faster per point, but a crashing task
@@ -417,8 +369,6 @@ def run_worker(
     directory, the daemon also writes a ``worker-<pid>`` JSONL trace there:
     lease/run/done task lines plus watchdog-kill, steal and requeue events.
     """
-    if claim_batch < 1:
-        raise ValueError("claim_batch must be at least 1")
     paths = QueuePaths(queue_dir)
     paths.ensure()
     spool = ShardedSpool(paths, stats=stats)
@@ -466,37 +416,22 @@ def run_worker(
         if owned(name, ticket):
             clear_claim(name)
 
-    def requeue(name: str, ticket: dict) -> None:
-        """Hand a fully-unexecuted claim back to the spool (stop mid-batch)."""
-        if not owned(name, ticket):
-            return
-        tracer.event("ticket_requeued", ticket=name)
-        paths.heartbeat(name).unlink(missing_ok=True)
-        try:
-            spool.readmit(name)
-        except OSError:
-            # Lost a race with the collector's stale-lease reclaim (it
-            # removed the claim between the ownership check and here);
-            # the ticket is back in circulation either way.
-            pass
-
     def republish_remaining(name: str, ticket: dict, positions: list[int]) -> None:
         """Republish a ticket's unexecuted tail (stop mid-ticket)."""
-        points = points_of(ticket, name)
+        points = ticket["points"]
         remaining = [points[q] for q in positions if q < len(points)]
         if remaining:
             payload = dict(ticket)
             payload["points"] = remaining
             spool.enqueue(
-                _carve_name(remaining, ticket.get("nonce", "requeue"), f"q{uuid.uuid4().hex[:6]}"),
-                payload,
+                ticket_name(remaining, ticket["nonce"], f"q{uuid.uuid4().hex[:6]}"), payload
             )
             tracer.event("ticket_requeued", ticket=name, points=len(remaining))
         clear_claim(name)
 
-    def run_ticket(name: str, ticket: dict, extra_heartbeats: tuple[Path, ...]) -> tuple[int, bool]:
-        """Execute one ticket's points; returns (points done, stop seen)."""
-        points = points_of(ticket, name)
+    def run_ticket(name: str, ticket: dict) -> int:
+        """Execute one ticket's points; returns the number executed."""
+        points = ticket["points"]
         block = len(points) > 1
         stolen = _read_positions(paths.steal(name)) if block else set()
         modules = ticket.get("scenario_modules") or []
@@ -509,7 +444,7 @@ def run_worker(
                 republish_remaining(
                     name, ticket, [q for q in range(pos, len(points)) if q not in stolen]
                 )
-                return done, True
+                return done
             if block:
                 stolen |= _read_positions(paths.steal(name))
                 if pos in stolen:
@@ -519,7 +454,7 @@ def run_worker(
                     # the daemon was suspended past the lease timeout);
                     # the remaining points now belong to someone else.
                     say(f"worker: lease on {name} was reclaimed mid-ticket; stopping it")
-                    return done, False
+                    return done
                 # Publish what a thief may carve: strictly-after positions.
                 _write_json_atomic(
                     paths.rest(name),
@@ -539,12 +474,7 @@ def run_worker(
                 )
             else:
                 outcome = _execute_with_watchdog(
-                    point,
-                    timeout,
-                    modules,
-                    paths.heartbeat(name),
-                    mp_start_method,
-                    extra_heartbeats=extra_heartbeats,
+                    point, timeout, modules, paths.heartbeat(name), mp_start_method
                 )
             if store is not None:
                 store.put(record_from_point(ticket, point, outcome))
@@ -565,21 +495,16 @@ def run_worker(
             if outcome["status"] == "timeout":
                 tracer.event("watchdog_kill", ticket=name, timeout_s=timeout)
         release(name, ticket)
-        return done, False
+        return done
 
     last_work = time.monotonic()
     n_done = 0
-    stopping = False
-    while not stopping:
+    while True:
         if stop_seen():
             say(f"worker: stop sentinel seen after {n_done} point(s)")
             break
-        batch = spool.claim(claim_batch)
-        if batch and tracer.enabled:
-            for name, ticket in batch:
-                for point in points_of(ticket, name):
-                    tracer.task("leased", point.get("index", -1), ticket=name)
-        if not batch:
+        claimed = spool.claim()
+        if claimed is None:
             if steal and try_steal(paths, spool, tracer, say):
                 last_work = time.monotonic()
                 continue
@@ -588,37 +513,14 @@ def run_worker(
                 break
             time.sleep(poll_interval)
             continue
-        if len(batch) > 1:
-            say(f"worker: claimed batch of {len(batch)} ticket(s)")
-        for position, (name, ticket) in enumerate(batch):
-            if stop_seen():
-                stopping = True
-                for pending_name, pending_ticket in batch[position:]:
-                    requeue(pending_name, pending_ticket)
-                say(f"worker: stop sentinel seen after {n_done} point(s)")
-                break
-            if position > 0 and not owned(name, ticket):
-                # The collector requeued this batch-mate while earlier items
-                # ran (e.g. the daemon was suspended past the lease
-                # timeout); executing it now would duplicate another
-                # daemon's work.
-                say(f"worker: lease on {name} was reclaimed; skipping")
-                continue
-            done, stopping = run_ticket(
-                name,
-                ticket,
-                tuple(paths.heartbeat(pending) for pending, _ in batch[position + 1 :]),
-            )
-            if done:
-                n_done += done
-                last_work = time.monotonic()
-            if stopping:
-                # run_ticket already republished its own tail; hand the
-                # untouched batch-mates back whole.
-                for pending_name, pending_ticket in batch[position + 1 :]:
-                    requeue(pending_name, pending_ticket)
-                say(f"worker: stop sentinel seen after {n_done} point(s)")
-                break
+        name, ticket = claimed
+        if tracer.enabled:
+            for point in ticket["points"]:
+                tracer.task("leased", point["index"], ticket=name)
+        done = run_ticket(name, ticket)
+        if done:
+            n_done += done
+            last_work = time.monotonic()
     tracer.event("worker_exit", executed=n_done)
     tracer.close()
     return n_done
@@ -638,8 +540,7 @@ class WorkQueueBackend(ExecutionBackend):
 
     ``points_per_ticket > 1`` groups consecutive sweep points into block
     tickets: fewer claims per sweep, and the unit the work-stealing
-    protocol splits.  ``shards=0`` forces the legacy flat spool layout
-    (the drain benchmark's baseline).
+    protocol splits.
     """
 
     name = "queue"
@@ -653,14 +554,12 @@ class WorkQueueBackend(ExecutionBackend):
         max_requeues: int = 3,
         worker_poll_interval: float = 0.05,
         worker_env: dict[str, str] | None = None,
-        claim_batch: int = 1,
         points_per_ticket: int = 1,
-        shards: int | None = None,
         inline_workers: bool = False,
     ) -> None:
         if points_per_ticket < 1:
             raise ValueError("points_per_ticket must be at least 1")
-        self.paths = QueuePaths(queue_dir, shards=shards)
+        self.paths = QueuePaths(queue_dir)
         self.paths.ensure()
         self.spool = ShardedSpool(self.paths)
         # Distinguishes this sweep's tickets and spawned daemons on a
@@ -695,8 +594,6 @@ class WorkQueueBackend(ExecutionBackend):
                 mp_start_method,
                 "--stop-file",
                 str(self._stop_file),
-                "--claim-batch",
-                str(max(claim_batch, 1)),
             ]
             if inline_workers:
                 argv.append("--inline")
@@ -721,8 +618,8 @@ class WorkQueueBackend(ExecutionBackend):
             return
         tasks = self._buffer
         self._buffer = []
-        name = ticket_name(tasks, self.nonce)
         payload = ticket_payload(tasks, self.nonce)
+        name = ticket_name(payload["points"], self.nonce)
         for task, point in zip(tasks, payload["points"]):
             self._tasks[point["result_name"]] = task
             self.trace.task("queued", task.index, ticket=name)
@@ -789,7 +686,7 @@ class WorkQueueBackend(ExecutionBackend):
                 ticket = json.loads(claim.read_text())
             except (OSError, json.JSONDecodeError):
                 continue
-            points = points_of(ticket, name)
+            points = ticket["points"]
             stolen = _read_positions(self.paths.steal(name))
             remaining = [
                 point
@@ -832,9 +729,7 @@ class WorkQueueBackend(ExecutionBackend):
                 # Republish under a fresh generation name *before* retiring
                 # the stale claim: a crash in between costs a duplicate
                 # ticket (deduped by per-point result files), never a loss.
-                self.spool.enqueue(
-                    _carve_name(remaining, self.nonce, f"r{attempts}"), payload
-                )
+                self.spool.enqueue(ticket_name(remaining, self.nonce, f"r{attempts}"), payload)
             for stale in (claim, beat, self.paths.rest(name), self.paths.steal(name)):
                 stale.unlink(missing_ok=True)
         if trace.enabled and max_age:
@@ -905,10 +800,7 @@ class WorkQueueBackend(ExecutionBackend):
         # Sweep this sweep's stranded spool tickets and claims so a shared
         # spool is not littered with work nothing will ever drain.
         suffix = f"-{self.nonce}.json"
-        spool_dirs = [self.paths.tasks]
-        if self.paths.shards:
-            spool_dirs += [self.paths.shard_dir(i) for i in range(self.paths.shards)]
-        for directory in spool_dirs:
+        for directory in map(self.paths.shard_dir, range(SHARDS)):
             try:
                 with os.scandir(directory) as entries:
                     stale = [e.path for e in entries if e.name.endswith(suffix)]

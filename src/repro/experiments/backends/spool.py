@@ -1,31 +1,28 @@
-"""Sharded ticket spool: the work queue's on-disk layout and claim fast path.
+"""Hash-sharded ticket spool: the work queue's on-disk layout and claim path.
 
-The flat spool of PR 3 kept every unclaimed ticket in one ``tasks/``
-directory and re-listed (and sorted) the whole thing on every claim --
-O(spool) per claim, the dominant cost on 10³--10⁴-ticket sweeps.  This
-module replaces it with a **hash-sharded spool** whose claims are
-O(batch) amortised::
+Every unclaimed ticket lives in one of :data:`SHARDS` shard directories,
+and claims are O(1) amortised instead of a sorted listing of the whole
+spool per claim::
 
     <queue-dir>/
-        spool.json             # {"schema": 1, "shards": N} layout marker
-        shards/s00/<name>      # ticket files, shard = crc32(name) % N
+        spool.json             # {"schema": 1, "shards": 8} layout guard
+        shards/s00/<name>      # ticket files, shard = crc32(name) % SHARDS
         shards/s01/...
         index/s00.log          # per-shard ready index: one name per line
-        tasks/                 # legacy flat dir (still drained, see below)
-        claims/ results/ STOP  # unchanged (see backends/queue.py)
+        claims/ results/ STOP  # see backends/queue.py
 
-Three mechanisms keep claiming cheap without giving up the rename-lease
-atomicity of the flat layout:
+Three mechanisms keep claiming cheap without giving up rename-lease
+atomicity:
 
 - **Append-on-enqueue ready index.**  Enqueueing a ticket atomically
   writes the file into its shard and appends one line to the shard's
   ``index/sNN.log``.  Claimants remember their byte offset into each
   index and read only the appended tail -- a claim consumes cached index
   entries and never lists a directory on the happy path.
-- **Claim-is-still-a-rename.**  An index entry is a *hint*, not a lock:
-  the claim itself is the same atomic ``os.rename`` into ``claims/`` as
-  before, so racing daemons interleave harmlessly -- the loser's rename
-  raises ``FileNotFoundError`` and it moves to the next entry.
+- **Claim-is-a-rename.**  An index entry is a *hint*, not a lock: the
+  claim itself is an atomic ``os.rename`` into ``claims/``, so racing
+  daemons interleave harmlessly -- the loser's rename raises
+  ``FileNotFoundError`` and it moves to the next entry.
 - **Compact-on-claim.**  Stale hints (tickets another daemon already
   claimed) accumulate as rename misses; past a threshold the claimant
   rewrites the shard's index from an actual directory listing of that
@@ -34,19 +31,19 @@ atomicity of the flat layout:
 Claimants drain their *home shard* (derived from the pid) first, then
 **steal from the deepest shard** (largest index tail), so load stays
 balanced without any coordination.  A periodic **verification scan**
-(full listing of all shards plus the legacy ``tasks/`` dir) backstops
-liveness: a ticket whose index line was lost to a torn append or a
-compaction race is found by the next verification pass, never stranded.
+(full listing of all shards) backstops liveness: a ticket whose index
+line was lost to a torn append or a compaction race is found by the next
+verification pass, never stranded.
 
-The legacy flat layout stays readable: a spool with no ``spool.json``
-(or ``shards: 0``) enqueues into ``tasks/`` and claims by the old
-sorted-scan, so old spools and ``layout="flat"`` benchmarks keep
-working; a sharded spool also drains anything in ``tasks/`` during
-verification scans, which is the migration path.
+``spool.json`` guards the layout: :class:`QueuePaths` refuses a
+directory whose marker names another shard count, or that still holds
+tickets in the flat ``tasks/`` directory of older versions, instead of
+silently stranding them.
 
 :class:`SpoolStats` counts index reads, rename misses, compactions and
 full directory scans -- ``tests/test_spool.py`` pins the regression
-guard that claiming N tickets performs O(1) full scans, not O(N).
+guard that claiming N tickets performs O(1) full scans, not O(N), and
+``benchmarks/queue_drain.py`` gates every drain on the same counters.
 """
 
 from __future__ import annotations
@@ -60,16 +57,16 @@ from pathlib import Path
 
 from repro.experiments.store import atomic_write_text
 
-#: Default shard count for new spools: enough to keep per-shard listings
-#: small at 10^4 tickets, few enough that verification scans stay cheap.
-DEFAULT_SHARDS = 8
+#: Shard count of every spool: enough to keep per-shard listings small at
+#: 10^4 tickets, few enough that verification scans stay cheap.
+SHARDS = 8
 
 #: Rename misses tolerated per shard before the claimant compacts its
 #: index from a directory listing.
 COMPACT_MISS_THRESHOLD = 256
 
-#: Seconds between verification scans (full listing of every shard and
-#: the legacy dir) while a claimant keeps finding its indexes empty.
+#: Seconds between verification scans (full listing of every shard)
+#: while a claimant keeps finding its indexes empty.
 VERIFY_INTERVAL = 2.0
 
 
@@ -103,59 +100,52 @@ class SpoolStats:
 
 
 class QueuePaths:
-    """The spool directory layout (sharded, with the legacy flat dir).
+    """The spool directory layout.
 
-    ``shards`` is resolved from the on-disk ``spool.json`` when present,
-    so every process agrees on the layout regardless of what it was
-    constructed with; ``ensure()`` writes the marker for new spools.
-    ``shards=0`` selects the legacy flat layout (everything in
-    ``tasks/``).
+    Raises ``ValueError`` for a directory this version cannot drain: one
+    holding flat-layout tickets in ``tasks/``, or one whose ``spool.json``
+    names a shard count other than :data:`SHARDS`.
     """
 
-    def __init__(self, root: str | os.PathLike, shards: int | None = None):
+    def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
-        self.tasks = self.root / "tasks"
         self.shards_dir = self.root / "shards"
         self.index_dir = self.root / "index"
         self.claims = self.root / "claims"
         self.results = self.root / "results"
         self.stop = self.root / "STOP"
         self.marker = self.root / "spool.json"
-        self._requested_shards = shards
-        self.shards = self._resolve_shards(shards)
+        self._check_layout()
 
-    def _resolve_shards(self, requested: int | None) -> int:
+    def _check_layout(self) -> None:
+        remedy = "drain it with the previous version or delete it"
+        legacy = self.root / "tasks"
+        if legacy.is_dir() and any(legacy.glob("*.json")):
+            raise ValueError(f"{self.root} is a flat spool (tickets in tasks/); {remedy}")
         try:
-            return int(json.loads(self.marker.read_text())["shards"])
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
-            pass
-        if requested is not None:
-            return max(0, requested)
-        # No marker: an existing flat spool (tickets already in tasks/)
-        # keeps its layout; a brand-new directory gets the sharded one.
-        if self.tasks.is_dir() and any(self.tasks.glob("*.json")):
-            return 0
-        return DEFAULT_SHARDS
+            shards = json.loads(self.marker.read_text())["shards"]
+        except (OSError, ValueError, KeyError, TypeError):
+            return
+        if shards != SHARDS:
+            raise ValueError(
+                f"{self.root} is a spool with {shards} shard(s), not {SHARDS}; {remedy}"
+            )
 
     def ensure(self) -> None:
         """Create the spool subdirectories and layout marker (idempotent)."""
-        for directory in (self.tasks, self.claims, self.results):
+        for directory in (self.claims, self.results, self.index_dir):
             directory.mkdir(parents=True, exist_ok=True)
-        if self.shards:
-            self.index_dir.mkdir(parents=True, exist_ok=True)
-            for i in range(self.shards):
-                self.shard_dir(i).mkdir(parents=True, exist_ok=True)
+        for i in range(SHARDS):
+            self.shard_dir(i).mkdir(parents=True, exist_ok=True)
         if not self.marker.exists():
             try:
-                atomic_write_text(
-                    self.marker, json.dumps({"schema": 1, "shards": self.shards})
-                )
+                atomic_write_text(self.marker, json.dumps({"schema": 1, "shards": SHARDS}))
             except OSError:
                 pass  # racing ensure() from another process already wrote it
 
     def shard_of(self, name: str) -> int:
         """The shard a ticket name hashes to (stable across processes)."""
-        return zlib.crc32(name.encode()) % self.shards if self.shards else 0
+        return zlib.crc32(name.encode()) % SHARDS
 
     def shard_dir(self, shard: int) -> Path:
         """The directory holding one shard's unclaimed tickets."""
@@ -166,10 +156,8 @@ class QueuePaths:
         return self.index_dir / f"s{shard:02d}.log"
 
     def ticket_path(self, name: str) -> Path:
-        """Where an unclaimed ticket of this name lives (sharded or flat)."""
-        if self.shards:
-            return self.shard_dir(self.shard_of(name)) / name
-        return self.tasks / name
+        """Where an unclaimed ticket of this name lives."""
+        return self.shard_dir(self.shard_of(name)) / name
 
     def heartbeat(self, name: str) -> Path:
         """The heartbeat file a claimant touches while executing ``name``."""
@@ -196,12 +184,10 @@ class ShardedSpool:
     def __init__(self, paths: QueuePaths, stats: SpoolStats | None = None):
         self.paths = paths
         self.stats = stats or SpoolStats()
-        n = max(paths.shards, 1)
-        self._ready: list[deque[str]] = [deque() for _ in range(n)]
-        self._offsets = [0] * n
-        self._misses = [0] * n
-        self._home = os.getpid() % n
-        self._legacy: deque[str] = deque()
+        self._ready: list[deque[str]] = [deque() for _ in range(SHARDS)]
+        self._offsets = [0] * SHARDS
+        self._misses = [0] * SHARDS
+        self._home = os.getpid() % SHARDS
         self._last_verify = 0.0
 
     # -- enqueue ---------------------------------------------------------------
@@ -210,8 +196,7 @@ class ShardedSpool:
         """Atomically write a ticket and append it to its shard's index."""
         path = self.paths.ticket_path(name)
         atomic_write_text(path, json.dumps(payload, sort_keys=True))
-        if self.paths.shards:
-            self._index_append(self.paths.shard_of(name), name)
+        self._index_append(self.paths.shard_of(name), name)
         self.stats.enqueued += 1
         return path
 
@@ -223,66 +208,46 @@ class ShardedSpool:
 
     # -- claim -----------------------------------------------------------------
 
-    def claim(self, limit: int) -> list[tuple[str, dict]]:
-        """Claim up to ``limit`` tickets by atomic rename into ``claims/``.
+    def claim(self) -> tuple[str, dict] | None:
+        """Claim one ticket by atomic rename into ``claims/``.
 
         Consumes cached index entries first (home shard, then the deepest
         other shard), falling back to a rate-limited verification scan
-        when every index is dry.  Unreadable tickets are failed into
-        ``results/`` rather than spun on, exactly like the flat layout
-        did.
+        when every index is dry.  Unreadable tickets (including ones
+        without a ``points`` list) are failed into ``results/`` rather
+        than spun on.  Returns ``None`` when nothing is claimable.
         """
-        if not self.paths.shards:
-            # Faithful flat-layout semantics: the sorted listing IS the
-            # ready state, taken fresh once per claim batch (it is stale
-            # the moment another daemon claims, so it is never carried
-            # across batches).  This is the O(spool)-per-claim cost the
-            # sharded index removes -- and the drain benchmark's baseline.
-            self._legacy.clear()
-        claimed: list[tuple[str, dict]] = []
-        while len(claimed) < limit:
+        while True:
             name = self._next_candidate()
             if name is None:
-                break
+                return None
             got = self._try_claim(name)
             if got is not None:
-                claimed.append(got)
-        return claimed
+                return got
 
     def _try_claim(self, name: str) -> tuple[str, dict] | None:
-        source = self.paths.ticket_path(name)
         target = self.paths.claims / name
         try:
-            os.rename(source, target)
+            os.rename(self.paths.ticket_path(name), target)
         except FileNotFoundError:
-            # Not in its shard: a legacy flat-layout ticket (found by a
-            # verification scan) lives in tasks/ -- claiming it from there
-            # is the migration path for pre-sharding spools.
-            legacy = self.paths.tasks / name
-            claimed_legacy = False
-            if self.paths.shards and legacy != source:
-                try:
-                    os.rename(legacy, target)
-                    claimed_legacy = True
-                except FileNotFoundError:
-                    pass
-            if not claimed_legacy:
-                # Lost the race (or a stale index hint); account for it so
-                # the shard compacts once misses pile up.
-                self.stats.rename_misses += 1
-                if self.paths.shards:
-                    shard = self.paths.shard_of(name)
-                    self._misses[shard] += 1
-                    if self._misses[shard] >= COMPACT_MISS_THRESHOLD:
-                        self._compact(shard)
-                return None
+            # Lost the race (or a stale index hint); account for it so the
+            # shard compacts once misses pile up.
+            self.stats.rename_misses += 1
+            shard = self.paths.shard_of(name)
+            self._misses[shard] += 1
+            if self._misses[shard] >= COMPACT_MISS_THRESHOLD:
+                self._compact(shard)
+            return None
         # Heartbeat immediately: rename preserves the ticket's mtime, so a
         # ticket that waited in the spool longer than the lease timeout
         # would otherwise look dead the instant it is claimed.
         self.paths.heartbeat(name).touch()
         try:
             ticket = json.loads(target.read_text())
-        except (OSError, json.JSONDecodeError):
+            readable = isinstance(ticket.get("points"), list)
+        except (OSError, ValueError, AttributeError):
+            readable = False
+        if not readable:
             atomic_write_text(
                 self.paths.results / name,
                 json.dumps(
@@ -303,8 +268,6 @@ class ShardedSpool:
         return (name, ticket)
 
     def _next_candidate(self) -> str | None:
-        if not self.paths.shards:
-            return self._next_legacy(scan_always=True)
         home = self._ready[self._home]
         if home:
             return home.popleft()
@@ -313,7 +276,7 @@ class ShardedSpool:
         # Home shard dry: steal from the deepest other shard (largest
         # unread index tail -- one stat per shard, no listings).
         deepest, depth = None, 0
-        for shard in range(self.paths.shards):
+        for shard in range(SHARDS):
             if shard == self._home:
                 continue
             if self._ready[shard]:
@@ -331,24 +294,7 @@ class ShardedSpool:
             if self._ready[deepest]:
                 self.stats.shard_steals += 1
                 return self._ready[deepest].popleft()
-        if self._legacy:
-            return self._legacy.popleft()
         return self._verify_scan()
-
-    def _next_legacy(self, scan_always: bool = False) -> str | None:
-        if not self._legacy and scan_always:
-            # The flat layout's historical claim, kept verbatim (one
-            # sorted ``glob`` pass per batch claim -- O(spool)): old
-            # spools behave exactly as they always did, and the drain
-            # benchmark's baseline measures the real legacy cost.
-            self.stats.full_scans += 1
-            try:
-                self._legacy = deque(
-                    path.name for path in sorted(self.paths.tasks.glob("*.json"))
-                )
-            except FileNotFoundError:
-                return None
-        return self._legacy.popleft() if self._legacy else None
 
     def _refresh(self, shard: int) -> bool:
         """Read the unread tail of a shard's index into its ready deque."""
@@ -399,17 +345,17 @@ class ShardedSpool:
     def _verify_scan(self) -> str | None:
         """Rate-limited full listing: rescues index-less tickets.
 
-        Lost index lines (torn appends, compaction races) and legacy
-        flat-layout tickets are invisible to the index fast path; this
-        scan -- at most once per ``VERIFY_INTERVAL`` while the spool
-        looks empty -- guarantees they are eventually claimed.
+        Lost index lines (torn appends, compaction races) are invisible to
+        the index fast path; this scan -- at most once per
+        ``VERIFY_INTERVAL`` while the spool looks empty -- guarantees
+        their tickets are eventually claimed.
         """
         now = time.monotonic()
         if now - self._last_verify < VERIFY_INTERVAL:
             return None
         self._last_verify = now
         self.stats.full_scans += 1
-        for shard in range(self.paths.shards):
+        for shard in range(SHARDS):
             try:
                 entries = sorted(
                     e.name
@@ -422,28 +368,10 @@ class ShardedSpool:
             fresh = [name for name in entries if name not in known]
             if fresh:
                 self._ready[shard].extend(fresh)
-        try:
-            self._legacy = deque(
-                sorted(e.name for e in os.scandir(self.paths.tasks) if e.name.endswith(".json"))
-            )
-        except FileNotFoundError:
-            self._legacy = deque()
-        for bucket in (self._ready[self._home], *self._ready, self._legacy):
+        for bucket in (self._ready[self._home], *self._ready):
             if bucket:
                 return bucket.popleft()
         return None
-
-    def readmit(self, name: str) -> None:
-        """Atomically hand a claimed-but-unexecuted ticket back to the spool.
-
-        The inverse of a claim: one rename from ``claims/`` into the
-        ticket's shard (or the flat dir), plus an index line so other
-        claimants find it without a scan.  Raises ``OSError`` when the
-        claim is already gone (lost a race with the collector's reclaim).
-        """
-        os.rename(self.paths.claims / name, self.paths.ticket_path(name))
-        if self.paths.shards:
-            self._index_append(self.paths.shard_of(name), name)
 
     # -- introspection ---------------------------------------------------------
 
@@ -451,12 +379,11 @@ class ShardedSpool:
         """Exact number of unclaimed tickets (one listing pass; for
         gauges and the fleet controller, not the claim hot path)."""
         total = 0
-        dirs = [self.paths.tasks]
-        if self.paths.shards:
-            dirs += [self.paths.shard_dir(i) for i in range(self.paths.shards)]
-        for directory in dirs:
+        for shard in range(SHARDS):
             try:
-                total += sum(1 for e in os.scandir(directory) if e.name.endswith(".json"))
+                total += sum(
+                    1 for e in os.scandir(self.paths.shard_dir(shard)) if e.name.endswith(".json")
+                )
             except FileNotFoundError:
                 continue
         return total

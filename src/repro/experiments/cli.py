@@ -144,13 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="spool directory for --backend queue (defaults to <store>/.queue)",
     )
     run.add_argument(
-        "--claim-batch",
-        type=int,
-        default=1,
-        metavar="N",
-        help="tickets a spawned queue daemon claims per spool scan (--backend queue)",
-    )
-    run.add_argument(
         "--points-per-ticket",
         type=int,
         default=1,
@@ -238,7 +231,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exit after this many seconds without work (default: run until STOP)",
     )
     worker.add_argument(
-        "--poll-interval", type=float, default=0.2, help="queue scan period in seconds"
+        "--poll-interval",
+        type=float,
+        default=0.2,
+        help="seconds between claim attempts while the spool is empty",
     )
     worker.add_argument(
         "--mp-start",
@@ -250,13 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--stop-file",
         default=None,
         help="extra stop sentinel (used by sweeps to dismiss the daemons they spawned)",
-    )
-    worker.add_argument(
-        "--claim-batch",
-        type=int,
-        default=1,
-        metavar="N",
-        help="tickets to claim per spool scan (amortises listing on large grids)",
     )
     worker.add_argument(
         "--inline",
@@ -315,13 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PREFIX",
         help="give each worker its own store shard PREFIX-<n> (merge later)",
-    )
-    fleet.add_argument(
-        "--claim-batch",
-        type=int,
-        default=1,
-        metavar="N",
-        help="tickets each worker claims per spool scan",
     )
     fleet.add_argument(
         "--max-idle",
@@ -405,7 +387,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             maxtasksperchild=args.maxtasksperchild,
             backend=args.backend,
             queue_dir=queue_dir,
-            claim_batch=args.claim_batch,
             points_per_ticket=args.points_per_ticket,
             trace=tracer,
         )
@@ -443,7 +424,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         poll_interval=args.poll_interval,
         mp_start_method=args.mp_start,
         stop_file=args.stop_file,
-        claim_batch=args.claim_batch,
         inline=args.inline,
         steal=args.steal,
     )
@@ -463,7 +443,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         cooldown=args.cooldown,
         store_prefix=args.store_prefix,
         inline=args.inline,
-        claim_batch=args.claim_batch,
         max_idle=args.max_idle,
         mp_start_method=args.mp_start,
         progress=logger.info,

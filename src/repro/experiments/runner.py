@@ -61,7 +61,6 @@ def run_sweep(
     maxtasksperchild: int | None = 16,
     backend: str | ExecutionBackend = "auto",
     queue_dir: str | None = None,
-    claim_batch: int = 1,
     points_per_ticket: int = 1,
     trace: Tracer | None = None,
 ) -> SweepReport:
@@ -93,11 +92,9 @@ def run_sweep(
     accumulate per-worker state (``0`` means never recycle, for
     ``multiprocessing.Pool`` parity).
 
-    ``claim_batch`` makes the queue backend's spawned daemons claim up to
-    that many tickets per spool scan, amortising the directory listing on
-    very large grids, and ``points_per_ticket`` groups consecutive points
-    into block tickets (the unit work stealing splits -- see
-    ``docs/architecture.md``); other backends ignore both.
+    ``points_per_ticket`` groups consecutive points into the queue
+    backend's block tickets (the unit work stealing splits -- see
+    ``docs/architecture.md``); other backends ignore it.
 
     ``trace`` receives sweep telemetry (``task`` lifecycle lines:
     submitted, cached, ok/error/timeout) and is handed to the backend for
@@ -188,7 +185,6 @@ def run_sweep(
                 mp_start_method=mp_start_method,
                 maxtasksperchild=maxtasksperchild,
                 queue_dir=queue_dir,
-                claim_batch=claim_batch,
                 points_per_ticket=points_per_ticket,
             )
             if owned

@@ -8,6 +8,7 @@ module name (``tests.test_backends``), exactly like user scenarios are.
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -31,8 +32,8 @@ from repro.experiments import (
 )
 from repro.experiments.backends import resolve_backend
 from repro.experiments.backends.base import Task
-from repro.experiments.backends.queue import QueuePaths, points_of
-from repro.experiments.backends.spool import ShardedSpool
+from repro.experiments.backends.queue import ticket_name
+from repro.experiments.backends.spool import SHARDS, ShardedSpool
 from repro.experiments.store import ResultRecord, cache_key
 
 
@@ -215,29 +216,26 @@ class TestQueueBackend:
         backend._procs = []  # the dummy is not a real daemon; skip STOP logic
         backend.shutdown()
 
-    def test_batched_claiming_drains_in_grid_order(self, tmp_path):
-        """--claim-batch: one spool scan claims several tickets (amortised
-        listing), they execute in index order, and records match a serial
-        run field for field."""
+    def test_claimed_ticket_is_leased_and_drains_to_serial_records(self, tmp_path):
+        """A claim moves exactly one ticket into claims/ and heartbeats it;
+        a worker then drains the spool to records matching a serial run
+        field for field."""
         points = expand_grid(get_scenario("bk-echo"), {"x": [1, 2, 3, 4, 5]})
-        # shards=0 pins the legacy flat layout, whose claim order is the
-        # sorted (= grid) order; the sharded layout interleaves shards.
-        backend = WorkQueueBackend(tmp_path / "spool", workers=0, shards=0)
+        backend = WorkQueueBackend(tmp_path / "spool", workers=0)
         paths = backend.paths
         for p in points:
             backend.submit(_task(p))
 
-        # The claim primitive: one scan takes min(limit, available) tickets,
-        # lowest grid index first, heartbeating each.
-        batch = ShardedSpool(paths).claim(3)
-        assert [points_of(t, n)[0]["index"] for n, t in batch] == [0, 1, 2]
-        assert len(list(paths.tasks.glob("*.json"))) == 2
-        assert all((paths.claims / name).exists() for name, _ in batch)
-        assert all(paths.heartbeat(name).exists() for name, _ in batch)
-        # Hand them back so the worker below sees the full spool.
-        for name, _ in batch:
-            paths.heartbeat(name).unlink()
-            os.rename(paths.claims / name, paths.tasks / name)
+        name, ticket = ShardedSpool(paths).claim()
+        [point] = ticket["points"]
+        claimed = points[point["index"]]
+        assert point["key"] == cache_key("bk-echo", claimed.params, claimed.seed)
+        assert backend.spool.depth() == 4
+        assert (paths.claims / name).exists() and paths.heartbeat(name).exists()
+        # Hand it back so the worker below sees the full spool.
+        paths.heartbeat(name).unlink()
+        (paths.claims / name).unlink()
+        backend.spool.enqueue(name, ticket)
 
         shard = ResultStore(tmp_path / "shard")
         n_done = run_worker(
@@ -246,7 +244,6 @@ class TestQueueBackend:
             max_idle=0.5,
             poll_interval=0.05,
             mp_start_method="fork",
-            claim_batch=3,
         )
         assert n_done == 5
         assert not list(paths.claims.glob("*"))  # all leases released
@@ -260,34 +257,43 @@ class TestQueueBackend:
             assert by_index[point.index]["result"] == record.result
             shard_record = shard.get("bk-echo", cache_key("bk-echo", point.params, point.seed))
             assert shard_record is not None
-            assert shard_record.result == record.result
+            assert _comparable(shard_record) == _comparable(record)
 
-    def test_worker_rejects_nonpositive_claim_batch(self, tmp_path):
-        with pytest.raises(ValueError, match="claim_batch"):
-            run_worker(tmp_path / "spool", claim_batch=0)
+    def test_ticket_name_is_one_content_addressed_format(self):
+        points = [{"index": 3, "key": "k1"}, {"index": 4, "key": "k2"}]
+        name = ticket_name(points, "n0nce")
+        assert re.fullmatch(r"000003-blk2-[0-9a-f]{12}-n0nce\.json", name)
+        assert ticket_name([dict(p) for p in points], "n0nce") == name
+        assert ticket_name(points, "n0nce", "r1") == name.replace("-blk2-", "-blk2-r1-")
+        # The digest covers every point's cache key, not just the first.
+        assert ticket_name([points[0], {"index": 4, "key": "k9"}], "n0nce") != name
 
     def test_stale_lease_is_requeued_then_failed(self, tmp_path):
         backend = WorkQueueBackend(
-            tmp_path / "spool", workers=0, lease_timeout=0.1, max_requeues=1, shards=0
+            tmp_path / "spool", workers=0, lease_timeout=0.1, max_requeues=1
         )
         paths = backend.paths
         points = expand_grid(get_scenario("bk-echo"), {"x": [9]})
         backend.submit(_task(points[0]))
 
+        def spooled() -> list[Path]:
+            return [t for i in range(SHARDS) for t in paths.shard_dir(i).glob("*.json")]
+
         def fake_dead_claim():
             # A worker claims the ticket, then dies without heartbeating.
-            name = next(paths.tasks.glob("*.json")).name
-            os.rename(paths.tasks / name, paths.claims / name)
+            [ticket] = spooled()
+            os.rename(ticket, paths.claims / ticket.name)
             stale = time.time() - 60.0
-            os.utime(paths.claims / name, (stale, stale))
+            os.utime(paths.claims / ticket.name, (stale, stale))
 
         fake_dead_claim()
         time.sleep(0.15)
         assert backend.poll() == []  # first expiry: republished
         # Reclaim republishes under a fresh generation name (a resumed
         # owner must never collide with the new claimant's lease).
-        requeued = list(paths.tasks.glob("*.json"))
+        requeued = spooled()
         assert len(requeued) == 1
+        assert "-r1-" in requeued[0].name
         assert json.loads(requeued[0].read_text())["attempts"] == 1
 
         fake_dead_claim()

@@ -32,8 +32,8 @@ from repro.experiments import (
 )
 from repro.experiments.backends.base import Task
 from repro.experiments.backends.fleet import FleetController
-from repro.experiments.backends.queue import points_of, try_steal
-from repro.experiments.backends.spool import ShardedSpool
+from repro.experiments.backends.queue import try_steal
+from repro.experiments.backends.spool import SHARDS, ShardedSpool
 from repro.experiments.store import cache_key
 
 _SRC = Path(repro.__file__).resolve().parents[1]
@@ -51,6 +51,18 @@ def _fl_echo(*, seed, x):
     return {"x": x, "seed_mod": seed % 1000, "cubed": x * x * x}
 
 
+#: Stop file the ``fl-stop`` scenario touches while it runs (when set).
+_STOP_ENV = "FL_STOP_FILE"
+
+
+@scenario("fl-stop", params=[ParamSpec("x", int, 1)])
+def _fl_stop(*, seed, x):
+    stop = os.environ.get(_STOP_ENV)
+    if stop:
+        Path(stop).touch()  # the worker sees it before its next point
+    return {"x": x, "seed_mod": seed % 1000}
+
+
 def _task(point) -> Task:
     return Task(
         point=point,
@@ -61,9 +73,9 @@ def _task(point) -> Task:
     )
 
 
-def _submit_block(tmp_path, xs, points_per_ticket, **backend_kwargs):
+def _submit_block(tmp_path, xs, points_per_ticket, scenario_name="fl-echo", **backend_kwargs):
     """One sealed block ticket holding the grid points for ``xs``."""
-    points = expand_grid(get_scenario("fl-echo"), {"x": xs})
+    points = expand_grid(get_scenario(scenario_name), {"x": xs})
     backend = WorkQueueBackend(
         tmp_path / "spool",
         workers=0,
@@ -87,6 +99,22 @@ def _comparable(record) -> dict:
     return data
 
 
+def _spooled(paths) -> dict[str, dict]:
+    """Every unclaimed ticket in the spool, by name."""
+    return {
+        ticket.name: json.loads(ticket.read_text())
+        for shard in range(SHARDS)
+        for ticket in paths.shard_dir(shard).glob("*.json")
+    }
+
+
+def _hand_back(spool, name, ticket):
+    """Undo a claim: drop the lease and heartbeat, re-enqueue the ticket."""
+    spool.paths.heartbeat(name).unlink(missing_ok=True)
+    (spool.paths.claims / name).unlink()
+    spool.enqueue(name, ticket)
+
+
 class TestWorkStealing:
     def test_thief_carves_tail_half_of_published_rest(self, tmp_path):
         """An idle daemon carves the tail half of the deepest in-flight
@@ -95,7 +123,7 @@ class TestWorkStealing:
         backend, points = _submit_block(tmp_path, [1, 2, 3, 4], points_per_ticket=4)
         paths = backend.paths
         owner = ShardedSpool(paths)
-        [(name, ticket)] = owner.claim(1)
+        name, ticket = owner.claim()
         # The owner is "executing point 0": positions 1..3 are stealable.
         paths.rest(name).write_text(json.dumps({"positions": [1, 2, 3]}))
 
@@ -107,9 +135,9 @@ class TestWorkStealing:
         # One thief per ticket, ever: the second attempt must not carve.
         assert not try_steal(paths, ShardedSpool(paths))
 
-        [(carve_name, carve)] = thief.claim(1)
-        carve_points = points_of(carve, carve_name)
-        original = points_of(ticket, name)
+        carve_name, carve = thief.claim()
+        carve_points = carve["points"]
+        original = ticket["points"]
         assert [p["index"] for p in carve_points] == [3]
         # Same result name as the original's point: duplicate completions
         # converge on one file.
@@ -117,10 +145,8 @@ class TestWorkStealing:
 
         # Hand both claims back and drain: the owner's ticket skips its
         # stolen positions, the carve supplies them.
-        for claim_name in (name, carve_name):
-            paths.heartbeat(claim_name).unlink(missing_ok=True)
-        owner.readmit(name)
-        thief.readmit(carve_name)
+        _hand_back(owner, name, ticket)
+        _hand_back(thief, carve_name, carve)
         n_done = run_worker(
             tmp_path / "spool", max_idle=0.3, poll_interval=0.02, inline=True
         )
@@ -138,9 +164,8 @@ class TestWorkStealing:
         the landed result file and skips."""
         backend, points = _submit_block(tmp_path, [7], points_per_ticket=1)
         spool = ShardedSpool(backend.paths)
-        [(name, ticket)] = spool.claim(1)
-        backend.paths.heartbeat(name).unlink()
-        spool.readmit(name)
+        name, ticket = spool.claim()
+        _hand_back(spool, name, ticket)
         spool.enqueue(f"dup-{name}", ticket)  # same points, same result_name
         n_done = run_worker(
             tmp_path / "spool", max_idle=0.3, poll_interval=0.02, inline=True
@@ -153,6 +178,83 @@ class TestWorkStealing:
         assert outcome["result"] == _serial_results(points)[7]
 
 
+class TestStopAfterClaim:
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "watchdog"])
+    def test_stop_mid_ticket_republishes_unexecuted_points(
+        self, tmp_path, monkeypatch, inline
+    ):
+        """A worker that sees its stop file after claiming a block ticket
+        republishes the unexecuted points as one ticket, leaves no claim
+        state behind, and a second worker drains the remainder to records
+        field-identical to a serial run."""
+        backend, points = _submit_block(tmp_path, [1, 2, 3, 4], 4, scenario_name="fl-stop")
+        paths = backend.paths
+        [(name, original)] = _spooled(paths).items()
+        stop = tmp_path / "STOP.first"
+        monkeypatch.setenv(_STOP_ENV, str(stop))
+        first = ResultStore(tmp_path / "shard-first")
+        n_done = run_worker(
+            tmp_path / "spool",
+            store=first,
+            stop_file=stop,
+            poll_interval=0.02,
+            inline=inline,
+            mp_start_method="fork",
+        )
+        assert n_done == 1  # point 0 ran, then the stop file was seen
+
+        for leftover in (
+            paths.claims / name,
+            paths.heartbeat(name),
+            paths.rest(name),
+            paths.steal(name),
+        ):
+            assert not leftover.exists(), leftover.name
+        assert not list(paths.claims.iterdir())
+        [(rest_name, rest)] = _spooled(paths).items()
+        assert "-blk3-q" in rest_name
+        assert rest["points"] == original["points"][1:]
+        assert rest["attempts"] == original["attempts"]
+
+        monkeypatch.delenv(_STOP_ENV)
+        second = ResultStore(tmp_path / "shard-second")
+        n_done = run_worker(
+            tmp_path / "spool", store=second, max_idle=0.3, poll_interval=0.02, inline=True
+        )
+        assert n_done == 3
+        assert len(backend.poll()) == 4
+        merged = ResultStore(tmp_path / "merged")
+        merged.merge(first.root)
+        merged.merge(second.root)
+        serial = run_sweep(points, store=None, backend="serial")
+        merged_records = sorted(merged.iter_records(), key=lambda r: r.key)
+        serial_records = sorted(serial.records, key=lambda r: r.key)
+        assert [_comparable(r) for r in merged_records] == [
+            _comparable(r) for r in serial_records
+        ]
+
+    def test_stop_before_first_point_republishes_whole_ticket(self, tmp_path, monkeypatch):
+        """A stop that lands between the claim and the ticket's first point
+        hands every point back as one fresh ticket; nothing executes."""
+        backend, _ = _submit_block(tmp_path, [1, 2], 2)
+        paths = backend.paths
+        [(name, original)] = _spooled(paths).items()
+        stop = tmp_path / "STOP.first"
+        claim = ShardedSpool.claim
+
+        def claim_then_stop(spool):
+            got = claim(spool)
+            stop.touch()
+            return got
+
+        monkeypatch.setattr(ShardedSpool, "claim", claim_then_stop)
+        assert run_worker(tmp_path / "spool", stop_file=stop, inline=True) == 0
+        assert not list(paths.claims.iterdir())
+        [(rest_name, rest)] = _spooled(paths).items()
+        assert rest_name != name
+        assert rest["points"] == original["points"]
+
+
 class TestStaleLeaseReclaim:
     def test_reclaim_republishes_only_unstolen_remaining(self, tmp_path):
         """A half-stolen ticket whose owner dies is republished minus the
@@ -163,7 +265,7 @@ class TestStaleLeaseReclaim:
         )
         paths = backend.paths
         owner = ShardedSpool(paths)
-        [(name, ticket)] = owner.claim(1)
+        name, ticket = owner.claim()
         paths.rest(name).write_text(json.dumps({"positions": [1, 2, 3]}))
         assert try_steal(paths, ShardedSpool(paths))  # carves the tail: [3]
 
@@ -176,12 +278,7 @@ class TestStaleLeaseReclaim:
 
         assert not (paths.claims / name).exists()
         assert not paths.steal(name).exists()  # sidecars retired with it
-        spooled = []
-        for directory in [paths.tasks] + [
-            paths.shard_dir(i) for i in range(paths.shards)
-        ]:
-            for path in directory.glob("*.json"):
-                spooled.append(json.loads(path.read_text()))
+        spooled = list(_spooled(paths).values())
         assert len(spooled) == 2  # the thief's carve + the reclaim
         by_attempts = {t["attempts"]: t for t in spooled}
         reclaim = by_attempts[1]  # bumped generation
@@ -221,7 +318,6 @@ class TestFleetController:
             cooldown=0.3,
             store_prefix=str(tmp_path / "shard"),
             inline=True,
-            claim_batch=2,
             max_idle=30.0,
             worker_env=_WORKER_ENV,
         )

@@ -1,19 +1,18 @@
-"""Sharded spool: layout resolution, the ready-index fast path, rescue scans.
+"""Sharded spool: layout guard, the ready-index fast path, rescue scans.
 
 The load-bearing test here is the **scan-count regression guard**:
-claiming N tickets from a sharded spool must perform O(1) full directory
-scans (the index fast path), while the legacy flat layout pays one sorted
-listing per claim batch -- the exact cost PR 9 removes.  The counters come
-from :class:`SpoolStats`, which the claim path maintains unconditionally.
+claiming N tickets must perform O(1) full directory scans (the index fast
+path), not one listing per claim.  The counters come from
+:class:`SpoolStats`, which the claim path maintains unconditionally.
 """
 
 import json
-import os
 
 import pytest
 
 from repro.experiments.backends.spool import (
-    DEFAULT_SHARDS,
+    COMPACT_MISS_THRESHOLD,
+    SHARDS,
     QueuePaths,
     ShardedSpool,
     SpoolStats,
@@ -28,10 +27,21 @@ def _fill(spool, n, prefix="t"):
     return names
 
 
-def _spool(root, shards=None, stats=None):
-    paths = QueuePaths(root, shards=shards)
+def _spool(root, stats=None):
+    paths = QueuePaths(root)
     paths.ensure()
     return ShardedSpool(paths, stats=stats or SpoolStats())
+
+
+def _names_in_shard(paths, shard, count, prefix):
+    """The first ``count`` ticket names with ``prefix`` that hash to ``shard``."""
+    names, i = [], 0
+    while len(names) < count:
+        name = f"{i:06d}-{prefix}-x.json"
+        if paths.shard_of(name) == shard:
+            names.append(name)
+        i += 1
+    return names
 
 
 class TestScanRegressionGuard:
@@ -44,24 +54,14 @@ class TestScanRegressionGuard:
         stats = spool.stats
         claimed = []
         for _ in range(n):
-            batch = spool.claim(1)
-            assert len(batch) == 1
-            claimed.append(batch[0][0])
+            got = spool.claim()
+            assert got is not None
+            claimed.append(got[0])
         assert len(set(claimed)) == n
         assert stats.claimed == n
         assert stats.index_hits == n  # every ticket served by the index
         assert stats.full_scans == 0  # the guard: no per-claim listings
         assert stats.rename_misses == 0
-
-    def test_flat_layout_pays_one_scan_per_claim_batch(self, tmp_path):
-        """The legacy layout's historical cost, pinned so the benchmark
-        baseline stays honest: one sorted listing per claim() call."""
-        n = 20
-        spool = _spool(tmp_path / "q", shards=0)
-        _fill(spool, n)
-        for i in range(n):
-            assert len(spool.claim(1)) == 1
-            assert spool.stats.full_scans == i + 1
 
     def test_stale_index_hints_are_misses_not_errors(self, tmp_path):
         """A ticket claimed by another daemon leaves a stale index line;
@@ -69,82 +69,71 @@ class TestScanRegressionGuard:
         spool_a = _spool(tmp_path / "q")
         _fill(spool_a, 4)
         spool_b = ShardedSpool(spool_a.paths, stats=SpoolStats())
-        took = {name for name, _ in spool_a.claim(4)}
+        took = {spool_a.claim()[0] for _ in range(4)}
         assert len(took) == 4
         # B's index cursors are fresh: every hint it reads is stale now.
-        assert spool_b.claim(4) == []
+        assert spool_b.claim() is None
         assert spool_b.stats.rename_misses == 4
         assert spool_b.stats.claimed == 0
 
 
-class TestLayoutResolution:
-    def test_marker_wins_over_requested_shards(self, tmp_path):
-        first = QueuePaths(tmp_path / "q", shards=4)
-        first.ensure()
-        assert first.shards == 4
-        assert json.loads(first.marker.read_text())["shards"] == 4
-        # Every later process agrees on the layout, whatever it asked for.
-        assert QueuePaths(tmp_path / "q").shards == 4
-        assert QueuePaths(tmp_path / "q", shards=16).shards == 4
+class TestLayoutGuard:
+    def test_ensure_writes_layout_marker(self, tmp_path):
+        paths = QueuePaths(tmp_path / "q")
+        paths.ensure()
+        assert json.loads(paths.marker.read_text())["shards"] == SHARDS
+        assert all(paths.shard_dir(i).is_dir() for i in range(SHARDS))
+        assert not hasattr(paths, "tasks")
+        QueuePaths(tmp_path / "q")  # a later process accepts its own marker
 
-    def test_new_spool_defaults_to_sharded(self, tmp_path):
-        assert QueuePaths(tmp_path / "q").shards == DEFAULT_SHARDS
-
-    def test_existing_flat_spool_autodetected(self, tmp_path):
-        """A pre-PR-9 spool (tickets in tasks/, no marker) keeps its
-        layout instead of being half-migrated by the first new process."""
+    def test_flat_spool_is_refused(self, tmp_path):
+        """A spool of the older flat layout (tickets in tasks/) is refused
+        with a remedy, not half-drained or silently stranded."""
         tasks = tmp_path / "q" / "tasks"
         tasks.mkdir(parents=True)
         (tasks / "000000-old-abc.json").write_text("{}")
-        paths = QueuePaths(tmp_path / "q")
-        assert paths.shards == 0
-        paths.ensure()  # writes the marker, pinning flat for everyone
-        assert QueuePaths(tmp_path / "q", shards=8).shards == 0
+        with pytest.raises(ValueError, match="flat spool.*previous version or delete it"):
+            QueuePaths(tmp_path / "q")
 
-    def test_ticket_path_routes_by_layout(self, tmp_path):
-        sharded = QueuePaths(tmp_path / "a", shards=8)
+    def test_foreign_shard_count_is_refused(self, tmp_path):
+        root = tmp_path / "q"
+        root.mkdir()
+        (root / "spool.json").write_text(json.dumps({"schema": 1, "shards": 4}))
+        with pytest.raises(ValueError, match="4 shard.*previous version or delete it"):
+            QueuePaths(root)
+
+    def test_cli_reports_foreign_spool_as_usage_error(self, tmp_path, capsys):
+        from repro.experiments.cli import main
+
+        root = tmp_path / "q"
+        root.mkdir()
+        (root / "spool.json").write_text(json.dumps({"schema": 1, "shards": 0}))
+        assert main(["worker", str(root), "--max-idle", "0"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (root / "claims").exists()  # refused before touching the spool
+
+    def test_ticket_path_routes_by_hash(self, tmp_path):
+        paths = QueuePaths(tmp_path / "q")
         name = "000001-k-n.json"
-        expected = sharded.shard_dir(sharded.shard_of(name)) / name
-        assert sharded.ticket_path(name) == expected
-        flat = QueuePaths(tmp_path / "b", shards=0)
-        assert flat.ticket_path(name) == flat.tasks / name
+        expected = paths.shard_dir(paths.shard_of(name)) / name
+        assert paths.ticket_path(name) == expected
 
 
 class TestSpoolMechanics:
-    def test_readmit_is_found_without_a_scan(self, tmp_path):
-        """Readmit appends an index line, so other claimants re-find the
-        ticket through the fast path, not a verification scan."""
+    def test_verify_scan_rescues_unindexed_tickets(self, tmp_path):
+        """Tickets invisible to the index (dropped index lines: the file is
+        in its shard, the log is not) are claimed by the rate-limited
+        verification scan, never stranded."""
         spool = _spool(tmp_path / "q")
-        [name] = _fill(spool, 1)
-        assert spool.claim(1)[0][0] == name
-        spool.readmit(name)
-        other = ShardedSpool(spool.paths, stats=SpoolStats())
-        assert other.claim(1)[0][0] == name
-        assert other.stats.full_scans == 0
-
-    def test_readmit_of_reclaimed_ticket_raises(self, tmp_path):
-        spool = _spool(tmp_path / "q")
-        with pytest.raises(OSError):
-            spool.readmit("000000-gone-abc.json")
-
-    def test_verify_scan_rescues_unindexed_and_legacy_tickets(self, tmp_path):
-        """Tickets invisible to the index -- a torn append, or a legacy
-        flat-layout file from before migration -- are claimed by the
-        rate-limited verification scan, never stranded."""
-        spool = _spool(tmp_path / "q")
-        # Dropped index line: the file is in its shard, the log is not.
-        orphan = "000007-orphan-abc.json"
-        (spool.paths.ticket_path(orphan)).write_text(
-            json.dumps({"schema": 2, "points": [], "nonce": "abc"})
-        )
-        # Legacy ticket left in tasks/ by a pre-sharding process.
-        legacy = "000008-legacy-abc.json"
-        (spool.paths.tasks / legacy).write_text(
-            json.dumps({"schema": 2, "points": [], "nonce": "abc"})
-        )
+        orphans = {"000007-orphan-abc.json", "000008-orphan-abc.json"}
+        for orphan in orphans:
+            spool.paths.ticket_path(orphan).write_text(
+                json.dumps({"schema": 2, "points": [], "nonce": "abc"})
+            )
         assert spool.depth() == 2
-        got = {spool.claim(1)[0][0] for _ in range(2)}
-        assert got == {orphan, legacy}
+        got = {spool.claim()[0] for _ in range(2)}
+        assert got == orphans
+        assert spool.stats.full_scans == 1
         assert spool.depth() == 0
 
     def test_unreadable_ticket_becomes_error_result(self, tmp_path):
@@ -152,34 +141,50 @@ class TestSpoolMechanics:
         name = "000003-bad-abc.json"
         spool.paths.ticket_path(name).write_text("{not json")
         spool._index_append(spool.paths.shard_of(name), name)
-        assert spool.claim(1) == []
+        assert spool.claim() is None
         payload = json.loads((spool.paths.results / name).read_text())
         assert payload["outcome"]["status"] == "error"
         assert "unreadable" in payload["outcome"]["error"]
 
+    def test_schema1_ticket_becomes_error_result(self, tmp_path):
+        """A single-point (schema-1) ticket has no point list: it is failed
+        into results/ through the unreadable-ticket path, not executed."""
+        spool = _spool(tmp_path / "q")
+        name = "000004-k1-abc.json"
+        v1 = {"index": 4, "scenario": "s", "params": {}, "seed": 1, "replicate": 0, "key": "k1"}
+        spool.enqueue(name, v1)
+        assert spool.claim() is None
+        payload = json.loads((spool.paths.results / name).read_text())
+        assert payload["outcome"]["status"] == "error"
+        assert "unreadable" in payload["outcome"]["error"]
+        assert not list(spool.paths.claims.iterdir())  # lease and heartbeat gone
+
     def test_compaction_resets_misses_and_rebuilds_index(self, tmp_path):
         """After COMPACT_MISS_THRESHOLD stale hints on one shard, the
         claimant rewrites that shard's index from a single listing."""
-        from repro.experiments.backends import spool as spool_mod
-
-        spool = _spool(tmp_path / "q", shards=1)
-        _fill(spool, 3)
+        spool = _spool(tmp_path / "q")
+        real = _names_in_shard(spool.paths, 0, 3, "t")
+        for name in real:
+            spool.enqueue(name, {"schema": 2, "points": [], "nonce": "abc123"})
         # Poison the index with enough phantom names to trip compaction.
-        for i in range(spool_mod.COMPACT_MISS_THRESHOLD):
-            spool._index_append(0, f"9{i:05d}-phantom-x.json")
+        for name in _names_in_shard(spool.paths, 0, COMPACT_MISS_THRESHOLD, "phantom"):
+            spool._index_append(0, name)
         other = ShardedSpool(spool.paths, stats=SpoolStats())
-        # Ask for one more than exists: the real tickets claim first (in
-        # index order), then the phantom tail burns misses into a compact.
-        batch = other.claim(4)
-        assert len(batch) == 3
+        # The real tickets claim first (in index order), then the phantom
+        # tail burns misses into a compaction.
+        assert [other.claim()[0] for _ in range(3)] == real
+        assert other.claim() is None
+        assert other.stats.rename_misses == COMPACT_MISS_THRESHOLD
         assert other.stats.compactions == 1
         # The rewritten index holds only what is actually on disk.
         assert other.paths.index_path(0).read_text() == ""
 
-    def test_depth_counts_all_layout_dirs(self, tmp_path):
+    def test_depth_counts_every_shard(self, tmp_path):
         spool = _spool(tmp_path / "q")
         _fill(spool, 5)
-        (spool.paths.tasks / "000009-legacy-x.json").write_text("{}")
+        orphan = "000009-orphan-x.json"
+        spool.paths.ticket_path(orphan).write_text("{}")  # unindexed still counts
         assert spool.depth() == 6
-        spool.claim(2)
+        spool.claim()
+        spool.claim()
         assert spool.depth() == 4
