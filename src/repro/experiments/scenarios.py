@@ -79,6 +79,26 @@ def _weighted_graph(n: int, extra_edge_prob: float, graph_seed: int, weight_seed
     return graph
 
 
+def _mst_verdict(graph: nx.Graph, edges: set[frozenset]) -> tuple[float, bool]:
+    """The centralised MST weight and the strongest exactness check the
+    instance allows.
+
+    With pairwise-distinct weights the MST is unique, so ``edges`` must
+    equal ``nx.minimum_spanning_tree``'s edge set.  With ties, ``edges``
+    must form a spanning tree of ``graph`` whose weight matches the MST's
+    within 1e-9 (an edge missing from ``graph`` raises ``KeyError``).
+    """
+    mst = nx.minimum_spanning_tree(graph)
+    reference = sum(d["weight"] for _, _, d in mst.edges(data=True))
+    weights = [w for _, _, w in graph.edges(data="weight")]
+    if len(set(weights)) == len(weights):
+        return reference, edges == {frozenset(e) for e in mst.edges()}
+    tree = nx.Graph()
+    tree.add_nodes_from(graph)
+    tree.add_edges_from(tuple(e) for e in edges)
+    return reference, nx.is_tree(tree) and abs(tree_weight(graph, edges) - reference) < 1e-9
+
+
 def _fig3_graph(
     seed: int, n: int, aspect_ratio: float, extra_edge_prob: float, graph_seed: int
 ) -> nx.Graph:
@@ -591,17 +611,15 @@ def gkp_cap_ablation(
     ``reference_weight`` and the ``exact`` verdict.
     """
     graph = _weighted_graph(n, extra_edge_prob, graph_seed, weight_seed=graph_seed + 1)
-    reference = sum(
-        d["weight"] for _, _, d in nx.minimum_spanning_tree(graph).edges(data=True)
-    )
     edges, result = run_gkp_mst(graph, bandwidth=bandwidth, cap=cap)
     weight = tree_weight(graph, edges)
+    reference, exact = _mst_verdict(graph, edges)
     return {
         "cap": cap,
         "rounds": result.rounds,
         "tree_weight": weight,
         "reference_weight": reference,
-        "exact": abs(weight - reference) < 1e-6,
+        "exact": exact,
     }
 
 
@@ -691,7 +709,8 @@ def simulation_theorem(
 
 @scenario(
     "spanner-skeleton",
-    description="Elkin-Matar-style linear-size (2k-1)-spanner: stretch/size vs n on CONGEST",
+    description="Greedy (2k-1)-spanner computed centrally via a CONGEST gather "
+    "(the baseline Elkin-Matar improve on): stretch/size vs n",
     params=[
         ParamSpec("n", int, 60, "nodes in the live CONGEST network"),
         ParamSpec("stretch_k", int, 0, "spanner parameter k (0 = ceil(log2 n), linear size)"),
@@ -735,10 +754,16 @@ def spanner_skeleton(
     engine: str,
     engine_threads: int,
 ) -> dict:
-    """Greedy (2k-1)-spanner of a random weighted graph, built distributedly.
+    """Greedy (2k-1)-spanner [ADDJS93] of a random weighted graph, computed
+    centrally via a CONGEST gather.
 
-    At ``k = ceil(log2 n)`` the girth bound makes the spanner linear-size
-    (< 2n edges) -- the skeleton regime of Elkin-Matar (arXiv:1907.10895).
+    This is the baseline the Elkin-Matar constructions (arXiv:1907.10895)
+    improve on, not their algorithm: the edges are pipelined to a leader,
+    which runs the greedy spanner and broadcasts the answer.  At
+    ``k = ceil(log2 n)`` the girth bound makes the spanner linear-size
+    (< 2n edges).  On the default grid (W=32) that bound holds trivially:
+    at base seeds 0-9, 26 of the 30 points came out as exactly the MST
+    (n-1 edges) and the other four, all at n=120, had n or n+1 edges.
     The phased CONGEST construction is mostly quiet by design, so the
     scenario also reports how much of the dense ``n x rounds`` schedule the
     active-set engines actually stepped.
@@ -881,16 +906,15 @@ def boruvka_mst_sweep(
     The classic homogeneous CONGEST workload: every live node participates
     in every announce/flood/merge sub-round, so the active set stays large
     and the event engine's columnar batched flushes carry the run.  Exactness
-    is checked against the centralised MST weight (all minimum spanning
-    trees share it, so the check is tie-safe).
+    is edge-set equality with the centralised MST when the weights are
+    pairwise distinct (the MST is then unique), and spanning-tree validity
+    plus equal weight when they tie.
     """
     graph = _boruvka_instance(generator, weight_model, n, extra_edge_prob, aspect_ratio, seed)
-    reference = sum(
-        d["weight"] for _, _, d in nx.minimum_spanning_tree(graph).edges(data=True)
-    )
     engine_obj = _resolve_engine(engine, engine_threads)
     edges, run = run_boruvka_mst(graph, bandwidth=bandwidth, seed=seed, engine=engine_obj)
     weight = tree_weight(graph, edges)
+    reference, exact = _mst_verdict(graph, edges)
     return {
         "n": graph.number_of_nodes(),
         "m": graph.number_of_edges(),
@@ -900,7 +924,7 @@ def boruvka_mst_sweep(
         "tree_edges": len(edges),
         "tree_weight": weight,
         "reference_weight": reference,
-        "exact": abs(weight - reference) < 1e-9,
+        "exact": exact,
         "rounds": run.rounds,
         "total_bits": run.total_bits,
         "total_messages": run.total_messages,

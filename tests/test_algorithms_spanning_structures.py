@@ -4,6 +4,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.spanning_structures import (
     forest_weight,
@@ -20,6 +22,69 @@ from repro.algorithms.spanning_structures import (
     steiner_forest_2approx,
 )
 from repro.graphs.generators import random_connected_graph
+
+
+def reference_greedy_spanner(graph: nx.Graph, stretch_k: int, weight: str = "weight") -> nx.Graph:
+    """The networkx greedy spanner loop: one target-directed Dijkstra per edge."""
+    t = 2 * stretch_k - 1
+    spanner = nx.Graph()
+    spanner.add_nodes_from(graph.nodes())
+    for u, v, data in sorted(graph.edges(data=True), key=lambda e: (e[2][weight], repr(e[:2]))):
+        w = data[weight]
+        try:
+            current = nx.dijkstra_path_length(spanner, u, v, weight=weight)
+        except nx.NetworkXNoPath:
+            current = float("inf")
+        if current > t * w:
+            spanner.add_edge(u, v, **{weight: w})
+    return spanner
+
+
+def reference_max_stretch(graph: nx.Graph, spanner: nx.Graph, weight: str = "weight") -> float:
+    """The networkx stretch loop: one target-directed Dijkstra per edge."""
+    worst = 1.0
+    for u, v, data in graph.edges(data=True):
+        d = nx.dijkstra_path_length(spanner, u, v, weight=weight)
+        worst = max(worst, d / data[weight])
+    return worst
+
+
+def outcome(fn, *args):
+    """A call's value, or its networkx exception's type and message."""
+    try:
+        return fn(*args)
+    except nx.NetworkXException as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def small_graphs(draw, weights: str) -> nx.Graph:
+    """Small graphs (often disconnected) with nodes inserted in a drawn order.
+
+    ``weights`` picks ``continuous`` floats in [1, 32], ``ties`` (three
+    values, so many equal keys) or ``distinct`` (a permutation).
+    """
+
+    def exactly(elements, size: int):
+        return st.lists(elements, min_size=size, max_size=size)
+
+    nodes = draw(st.permutations(range(draw(st.integers(1, 10)))))
+    pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
+    chosen = [pair for pair, keep in zip(pairs, draw(exactly(st.booleans(), len(pairs)))) if keep]
+    if weights == "continuous":
+        values = draw(exactly(st.floats(1.0, 32.0), len(chosen)))
+    elif weights == "ties":
+        values = draw(exactly(st.sampled_from([1.0, 2.0, 3.0]), len(chosen)))
+    else:
+        values = [float(w) for w in draw(st.permutations(range(1, len(chosen) + 1)))]
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    for (u, v), w in zip(chosen, values):
+        graph.add_edge(u, v, weight=w)
+    return graph
+
+
+any_weights = st.sampled_from(["continuous", "ties"]).flatmap(small_graphs)
 
 
 def weighted(n: int, seed: int, extra: float = 0.3) -> nx.Graph:
@@ -151,6 +216,46 @@ class TestGreedySpanner:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             greedy_spanner(weighted(8, 5), 0)
+
+    @given(any_weights, st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_networkx_reference(self, graph, k):
+        spanner = greedy_spanner(graph, k)
+        reference = reference_greedy_spanner(graph, k)
+        assert list(spanner.nodes()) == list(reference.nodes())
+        assert list(spanner.edges(data=True)) == list(reference.edges(data=True))
+        assert spanner_max_stretch(graph, spanner) == reference_max_stretch(graph, reference)
+
+    @given(any_weights, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_stretch_of_any_subgraph_matches_reference(self, graph, data):
+        # Arbitrary edge subsets leave some endpoints disconnected, so this
+        # also compares the raised exception against networkx's.
+        edges = list(graph.edges(data=True))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        spanner = nx.Graph()
+        spanner.add_nodes_from(graph.nodes())
+        spanner.add_edges_from(e for e, kept in zip(edges, keep) if kept)
+        assert outcome(spanner_max_stretch, graph, spanner) == outcome(reference_max_stretch, graph, spanner)
+
+    @given(small_graphs("distinct"), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_contains_mst_with_distinct_weights(self, graph, k):
+        spanner = greedy_spanner(graph, k)
+        mst = {frozenset(e) for e in nx.minimum_spanning_tree(graph).edges()}
+        assert mst <= {frozenset(e) for e in spanner.edges()}
+
+    def test_disconnected_spanner_raises_like_networkx(self):
+        graph = nx.path_graph(3)
+        nx.set_edge_attributes(graph, 1.0, "weight")
+        spanner = nx.Graph()
+        spanner.add_nodes_from(graph.nodes())
+        spanner.add_edge(0, 1, weight=1.0)
+        with pytest.raises(nx.NetworkXNoPath, match="Node 2 not reachable from 1"):
+            spanner_max_stretch(graph, spanner)
+        spanner.remove_node(0)
+        with pytest.raises(nx.NodeNotFound, match="Node 0 not found in graph"):
+            spanner_max_stretch(graph, spanner)
 
     def test_distributed_runner(self):
         graph = weighted(14, 6)

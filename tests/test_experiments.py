@@ -270,6 +270,28 @@ class TestBoruvkaMstSweepScenario:
         for field in ("tree_weight", "rounds", "total_bits", "total_messages", "exact"):
             assert results["event"][field] == results["dense"][field], field
 
+    def test_mst_verdict_is_edge_set_or_spanning_tree(self):
+        import networkx as nx
+
+        from repro.experiments.scenarios import _mst_verdict
+
+        # Distinct weights: the MST is unique, so only its edge set passes.
+        graph = nx.cycle_graph(4)
+        for (u, v), w in zip(graph.edges(), (1.0, 2.0, 3.0, 4.0)):
+            graph.edges[u, v]["weight"] = w
+        mst = {frozenset(e) for e in nx.minimum_spanning_tree(graph).edges()}
+        assert _mst_verdict(graph, mst) == (6.0, True)
+        heavier = mst - {frozenset((0, 1))} | {frozenset((3, 0))}
+        assert _mst_verdict(graph, heavier) == (6.0, False)
+        # Ties: any spanning tree of MST weight passes; a triangle of the
+        # same weight that misses a node does not.
+        graph = nx.complete_graph(4)
+        nx.set_edge_attributes(graph, 1.0, "weight")
+        star = {frozenset((0, v)) for v in (1, 2, 3)}
+        assert _mst_verdict(graph, star) == (3.0, True)
+        triangle = {frozenset(e) for e in ((0, 1), (1, 2), (0, 2))}
+        assert _mst_verdict(graph, triangle) == (3.0, False)
+
     def test_unknown_generator_and_weight_model_fail_the_point(self):
         scn = get_scenario("boruvka-mst-sweep")
         with pytest.raises(ValueError, match="unknown generator"):
