@@ -1,7 +1,7 @@
 """Benchmark sweep drain across execution backends and record an artifact.
 
-Runs the same grid through the serial, process-pool and work-queue
-backends, times each drain, and cross-checks that the produced records
+Runs the same grid through the serial and process-pool backends, times
+each drain, and cross-checks that the produced records
 are field-identical modulo ``duration_s`` -- the backend seam's core
 invariant, measured instead of assumed.  Writes one JSON file
 (``BENCH_pr3.json`` by default).
@@ -18,7 +18,6 @@ import argparse
 import json
 import platform
 import sys
-import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -35,11 +34,9 @@ def _comparable(records) -> list[dict]:
     return stripped
 
 
-def drain(points, backend: str, workers: int, queue_dir: str | None) -> tuple[dict, list[dict]]:
+def drain(points, backend: str, workers: int) -> tuple[dict, list[dict]]:
     start = time.perf_counter()
-    report = run_sweep(
-        points, store=None, backend=backend, workers=workers, queue_dir=queue_dir
-    )
+    report = run_sweep(points, store=None, backend=backend, workers=workers)
     elapsed = time.perf_counter() - start
     return (
         {
@@ -66,22 +63,16 @@ def main() -> int:
 
     runs = []
     baseline = None
-    with tempfile.TemporaryDirectory(prefix="backend-drain-") as spool:
-        for backend in ("serial", "pool", "queue"):
-            timing, records = drain(
-                points,
-                backend,
-                args.workers,
-                str(Path(spool) / backend) if backend == "queue" else None,
-            )
-            if baseline is None:
-                baseline = records
-            timing["records_match_serial"] = records == baseline
-            runs.append(timing)
-            print(
-                f"{backend:6s}: {timing['seconds']:.2f}s for {timing['points']} point(s), "
-                f"match={timing['records_match_serial']}"
-            )
+    for backend in ("serial", "pool"):
+        timing, records = drain(points, backend, args.workers)
+        if baseline is None:
+            baseline = records
+        timing["records_match_serial"] = records == baseline
+        runs.append(timing)
+        print(
+            f"{backend:6s}: {timing['seconds']:.2f}s for {timing['points']} point(s), "
+            f"match={timing['records_match_serial']}"
+        )
 
     payload = {
         "benchmark": "backend_drain",

@@ -14,8 +14,8 @@ carries a ``policy``:
 - ``hard``  -- a regression past ``max_regression`` exits non-zero
   (single-process entries: low-variance, trustworthy in CI);
 - ``warn``  -- the regression is reported but never fails the job
-  (multi-process entries such as the 2-daemon ``queue-drain-steal``
-  makespan, which depend on the CI host's core count).
+  (entries whose speed depends on the CI host's core count, such as
+  thread-count labels).
 
 Usage::
 

@@ -10,8 +10,8 @@ Register a scenario::
         return {"answer": n}
 
 Then ``python -m repro.experiments run my-sweep --workers 4`` expands the
-grid, runs it on a pluggable execution backend (serial, process pool, or
-a shared work-queue spool drained by worker daemons -- see
+grid, runs it on an execution backend (serial, or a local process pool
+for per-point timeouts and crash isolation -- see
 :mod:`repro.experiments.backends`), and persists one JSON record per
 point under ``experiment-results/`` keyed by a content hash of (scenario,
 version, params, seed) -- re-runs are served from cache.
@@ -21,9 +21,7 @@ from repro.experiments.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    WorkQueueBackend,
     resolve_backend,
-    run_worker,
 )
 from repro.experiments.registry import (
     ParamSpec,
@@ -60,7 +58,5 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "WorkQueueBackend",
     "resolve_backend",
-    "run_worker",
 ]

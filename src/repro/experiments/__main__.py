@@ -1,7 +1,7 @@
 """Module entry point: ``python -m repro.experiments <subcommand>``.
 
 Dispatches straight to :func:`repro.experiments.cli.main`; see that
-module for the subcommands (list / run / report / worker / merge).
+module for the subcommands (list / run / report / merge / trace).
 """
 
 import sys

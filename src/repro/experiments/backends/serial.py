@@ -2,7 +2,7 @@
 
 The reference backend -- no processes, no timeouts, deterministic order.
 Because it runs :func:`~repro.experiments.backends.base.execute_point`
-directly, a serial sweep is bit-identical to a pool or queue one.
+directly, a serial sweep is bit-identical to a pool one.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class SerialBackend(ExecutionBackend):
         if task.timeout is not None:
             raise ValueError(
                 "SerialBackend cannot enforce a per-task timeout on in-process "
-                "execution; use the pool or queue backend"
+                "execution; use the pool backend"
             )
         self.trace.task("running", task.index, backend=self.name)
         outcome = execute_point(

@@ -1,17 +1,13 @@
-"""``python -m repro.experiments`` -- list, run, report, worker, fleet, merge, trace.
+"""``python -m repro.experiments`` -- list, run, report, merge, trace.
 
 Examples::
 
     python -m repro.experiments list
-    python -m repro.experiments run fig3-mst-tradeoff --workers 4
+    python -m repro.experiments run fig3-mst-tradeoff
     python -m repro.experiments run chsh-gamma2 --set restarts=1,4,16 --replicates 3
     python -m repro.experiments run boruvka-mst-sweep --engine dense
-    python -m repro.experiments run fig3-mst-tradeoff --backend queue \\
-        --queue-dir /shared/q --workers 0          # external daemons drain it
-    python -m repro.experiments worker /shared/q --store worker-shard
-    python -m repro.experiments fleet /shared/q --max-workers 8 --drain \\
-        --store-prefix worker-shard                # elastic local fleet
-    python -m repro.experiments merge experiment-results worker-shard
+    python -m repro.experiments run spanner-skeleton --backend pool --timeout 60
+    python -m repro.experiments merge experiment-results other-run-results
     python -m repro.experiments report fig3-mst-tradeoff
     python -m repro.experiments report --format json | jq '.[].result'
     python -m repro.experiments report --html report-site --bench 'BENCH_*.json'
@@ -22,68 +18,30 @@ Telemetry (see ``docs/observability.md``)::
     python -m repro.experiments trace summarize traces/
     python -m repro.experiments trace timeline traces/ --out timeline.html
     python -m repro.experiments report --html report-site --trace traces/
-
-``-v``/``-q`` (repeatable, before the subcommand) raise or lower the
-verbosity of the harness's ``repro.*`` loggers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from repro.congest.engine import _ENGINES
-from repro.experiments.backends import BACKEND_NAMES, run_fleet, run_worker
+from repro.experiments.backends import BACKEND_NAMES
 from repro.experiments.registry import ScenarioNotFound, get_scenario, list_scenarios
 from repro.experiments.runner import run_sweep
 from repro.experiments.store import DEFAULT_STORE, ResultStore
 from repro.experiments.sweep import expand_grid, parse_axis_overrides
 from repro.obs.trace import TRACE_DIR_ENV, TraceWriter, read_trace, summarize_trace, trace_files
 
-logger = logging.getLogger("repro.experiments.cli")
-
-
-def _configure_logging(verbose: int, quiet: int) -> None:
-    """Configure the ``repro.*`` logger namespace from ``-v``/``-q`` counts.
-
-    One switch for daemon telemetry and human logs: INFO by default (the
-    worker daemon's progress lines), DEBUG with ``-v``, WARNING and up
-    with ``-q``.  Installs a stderr handler only on the ``repro`` logger,
-    so embedding applications keep their own logging setup.
-    """
-    level = logging.INFO + 10 * (quiet - verbose)
-    level = max(logging.DEBUG, min(logging.CRITICAL, level))
-    root = logging.getLogger("repro")
-    handler = logging.StreamHandler()
-    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
-    root.handlers[:] = [handler]
-    root.setLevel(level)
-    root.propagate = False
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Experiment harness: scenario registry, sweep runner, result store.",
-    )
-    parser.add_argument(
-        "-v",
-        "--verbose",
-        action="count",
-        default=0,
-        help="more diagnostics from repro.* loggers (repeatable)",
-    )
-    parser.add_argument(
-        "-q",
-        "--quiet",
-        action="count",
-        default=0,
-        help="fewer diagnostics from repro.* loggers (repeatable)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -99,7 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="KEY=V1[,V2,...]",
         help="grid axis override; repeatable; multiple values sweep that axis",
     )
-    run.add_argument("--workers", type=int, default=1, help="process-pool size (1 = serial)")
+    run.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="process-pool size (1 = serial); the pool pays about 1 s of worker "
+        "start-up, so on 2 cores it loses to serial on the default grids and wins "
+        "by about 1.25x only on sweeps of a minute or more",
+    )
     run.add_argument(
         "--engine",
         choices=tuple(_ENGINES),
@@ -136,20 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKEND_NAMES,
         default="auto",
-        help="execution backend (auto = serial unless --workers/--timeout ask for a pool)",
-    )
-    run.add_argument(
-        "--queue-dir",
-        default=None,
-        help="spool directory for --backend queue (defaults to <store>/.queue)",
-    )
-    run.add_argument(
-        "--points-per-ticket",
-        type=int,
-        default=1,
-        metavar="N",
-        help="group N consecutive sweep points into one block ticket "
-        "(--backend queue; block tickets are the unit work stealing splits)",
+        help="execution backend (auto = serial unless --workers/--timeout ask for a "
+        "pool); the pool also enforces --timeout and turns a point that kills its "
+        "worker process into an error record",
     )
     run.add_argument(
         "--trace",
@@ -215,117 +169,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="summary output format for `summarize`",
     )
 
-    worker = sub.add_parser(
-        "worker", help="daemon: claim and execute tickets from a work-queue spool"
-    )
-    worker.add_argument("queue_dir", help="spool directory (see `run --backend queue`)")
-    worker.add_argument(
-        "--store",
-        default=None,
-        help="also persist full records to this local store shard (merge later)",
-    )
-    worker.add_argument(
-        "--max-idle",
-        type=float,
-        default=None,
-        help="exit after this many seconds without work (default: run until STOP)",
-    )
-    worker.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.2,
-        help="seconds between claim attempts while the spool is empty",
-    )
-    worker.add_argument(
-        "--mp-start",
-        choices=("spawn", "fork", "forkserver"),
-        default="spawn",
-        help="start method for the per-task watchdog subprocess",
-    )
-    worker.add_argument(
-        "--stop-file",
-        default=None,
-        help="extra stop sentinel (used by sweeps to dismiss the daemons they spawned)",
-    )
-    worker.add_argument(
-        "--inline",
-        action="store_true",
-        help="execute timeout-less tickets in-process instead of in a watchdog "
-        "subprocess (faster for short tasks; a crash takes the daemon down)",
-    )
-    worker.add_argument(
-        "--no-steal",
-        dest="steal",
-        action="store_false",
-        help="never carve points off other workers' leased block tickets",
-    )
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="supervisor: launch/retire local worker daemons from spool depth",
-    )
-    fleet.add_argument("queue_dir", help="spool directory (see `run --backend queue`)")
-    fleet.add_argument(
-        "--min-workers", type=int, default=0, help="never retire below this many daemons"
-    )
-    fleet.add_argument(
-        "--max-workers", type=int, default=4, help="hard cap on live daemons"
-    )
-    fleet.add_argument(
-        "--backlog-per-worker",
-        type=int,
-        default=4,
-        metavar="N",
-        help="target spool depth per live worker (scale-up trigger)",
-    )
-    fleet.add_argument(
-        "--interval", type=float, default=0.5, help="control-loop tick period in seconds"
-    )
-    fleet.add_argument(
-        "--cooldown",
-        type=float,
-        default=2.0,
-        help="seconds the backlog must stay low before a worker is retired",
-    )
-    fleet.add_argument(
-        "--drain",
-        action="store_true",
-        help="exit once the spool is empty and all claims resolved "
-        "(default: run until the STOP sentinel appears)",
-    )
-    fleet.add_argument(
-        "--max-runtime",
-        type=float,
-        default=None,
-        help="hard wall-clock bound on the controller in seconds",
-    )
-    fleet.add_argument(
-        "--store-prefix",
-        default=None,
-        metavar="PREFIX",
-        help="give each worker its own store shard PREFIX-<n> (merge later)",
-    )
-    fleet.add_argument(
-        "--max-idle",
-        type=float,
-        default=None,
-        help="workers exit on their own after this many idle seconds",
-    )
-    fleet.add_argument(
-        "--inline",
-        action="store_true",
-        help="workers execute timeout-less tickets in-process (see `worker --inline`)",
-    )
-    fleet.add_argument(
-        "--mp-start",
-        choices=("spawn", "fork", "forkserver"),
-        default="spawn",
-        help="start method for the workers' watchdog subprocesses",
-    )
-
-    merge = sub.add_parser("merge", help="import records from store shards into one store")
+    merge = sub.add_parser("merge", help="import records from other stores into one store")
     merge.add_argument("dest", help="destination store directory")
-    merge.add_argument("sources", nargs="+", help="source store directories (worker shards)")
+    merge.add_argument("sources", nargs="+", help="source store directories")
     merge.add_argument(
         "--overwrite", action="store_true", help="let source records replace existing keys"
     )
@@ -356,9 +202,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         grid["fault_seed"] = [args.fault_seed]
     points = expand_grid(scn, grid, replicates=args.replicates, base_seed=args.base_seed)
     store = None if args.no_store else ResultStore(args.store)
-    queue_dir = args.queue_dir
-    if args.backend == "queue" and queue_dir is None:
-        queue_dir = str((store.root if store is not None else DEFAULT_STORE) / ".queue")
     print(
         f"sweep {scn.name}: {len(points)} point(s), backend={args.backend}, "
         f"workers={args.workers}, store={'<none>' if store is None else store.root}"
@@ -368,9 +211,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace_dir is not None:
         trace_root = Path(args.trace_dir)
         trace_root.mkdir(parents=True, exist_ok=True)
-        # The env var is how the switch reaches pool workers and queue
-        # daemons: they inherit the environment, and execute_point opens a
-        # per-task writer whenever it is set.
+        # The env var is how the switch reaches pool workers: they inherit
+        # the environment, and execute_point opens a per-task writer
+        # whenever it is set.
         os.environ[TRACE_DIR_ENV] = str(trace_root)
         tracer = TraceWriter(
             trace_root / f"sweep-{scn.name}.jsonl", source="sweep", scenario=scn.name
@@ -386,8 +229,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             mp_start_method=args.mp_start,
             maxtasksperchild=args.maxtasksperchild,
             backend=args.backend,
-            queue_dir=queue_dir,
-            points_per_ticket=args.points_per_ticket,
             trace=tracer,
         )
     finally:
@@ -408,55 +249,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             print(f"  #{record.replicate} {record.params} -> {record.status.upper()}")
     return 0 if report.ok else 1
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    shard = None if args.store is None else ResultStore(args.store)
-    logger.info(
-        "worker: draining %s%s",
-        args.queue_dir,
-        f", shard -> {shard.root}" if shard is not None else "",
-    )
-    n_done = run_worker(
-        args.queue_dir,
-        store=shard,
-        max_idle=args.max_idle,
-        poll_interval=args.poll_interval,
-        mp_start_method=args.mp_start,
-        stop_file=args.stop_file,
-        inline=args.inline,
-        steal=args.steal,
-    )
-    logger.info("worker: executed %d point(s)", n_done)
-    return 0
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    report = run_fleet(
-        args.queue_dir,
-        drain=args.drain,
-        max_runtime=args.max_runtime,
-        min_workers=args.min_workers,
-        max_workers=args.max_workers,
-        backlog_per_worker=args.backlog_per_worker,
-        interval=args.interval,
-        cooldown=args.cooldown,
-        store_prefix=args.store_prefix,
-        inline=args.inline,
-        max_idle=args.max_idle,
-        mp_start_method=args.mp_start,
-        progress=logger.info,
-    )
-    print(
-        f"fleet: spawned {report.spawned}, retired {report.retired}, "
-        f"peak {report.peak_workers}, {report.ticks} tick(s), "
-        f"final depth {report.final_depth}"
-    )
-    crashed = sum(1 for code in report.exit_codes if code not in (0, None))
-    if crashed:
-        print(f"fleet: {crashed} worker(s) exited non-zero", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -569,16 +361,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code (0 ok, 1 failed sweep/empty report, 2 usage)."""
     args = _build_parser().parse_args(argv)
-    _configure_logging(args.verbose, args.quiet)
     try:
         if args.command == "list":
             return _cmd_list()
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "worker":
-            return _cmd_worker(args)
-        if args.command == "fleet":
-            return _cmd_fleet(args)
         if args.command == "merge":
             return _cmd_merge(args)
         if args.command == "trace":

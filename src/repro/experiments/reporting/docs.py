@@ -38,7 +38,7 @@ the sweep runner, the execution backends and the HTML report subsystem).
 Run any of them with:
 
 ```sh
-python -m repro.experiments run <scenario> [--set axis=v1,v2,...] [--workers N]
+python -m repro.experiments run SCENARIO --set AXIS=V1,V2,...
 python -m repro.experiments report --html report-site
 ```
 """

@@ -2,10 +2,10 @@
 
 The runner resolves each sweep point against the result store first
 (skip-if-cached), hands the misses to an execution backend
-(:mod:`repro.experiments.backends`: serial inline, local process pool, or
-a shared work-queue spool drained by worker daemons), captures failures
-as records instead of crashing the sweep, and returns records in
-deterministic grid order regardless of completion order.
+(:mod:`repro.experiments.backends`: serial inline or a local process
+pool), captures failures as records instead of crashing the sweep, and
+returns records in deterministic grid order regardless of completion
+order.
 
 Which backend runs the tasks is a dispatch detail: all of them execute
 :func:`~repro.experiments.backends.base.execute_point`, so the records a
@@ -60,19 +60,13 @@ def run_sweep(
     mp_start_method: str = "spawn",
     maxtasksperchild: int | None = 16,
     backend: str | ExecutionBackend = "auto",
-    queue_dir: str | None = None,
-    points_per_ticket: int = 1,
     trace: Tracer | None = None,
 ) -> SweepReport:
     """Run a sweep; returns records in the order of ``points``.
 
     ``backend`` picks the execution backend: ``"auto"`` (serial for a
     single worker with no timeout, else a process pool -- the historical
-    behaviour), ``"serial"``, ``"pool"``, or ``"queue"`` (a spool at
-    ``queue_dir`` drained by ``workers`` spawned daemons, or by external
-    ``python -m repro.experiments worker`` daemons when ``workers=0`` --
-    note an external-drain sweep waits indefinitely for the fleet, there
-    is no collector-side deadline on unclaimed tickets).  An
+    behaviour), ``"serial"`` or ``"pool"``.  An
     :class:`ExecutionBackend` instance is used as-is and left open for
     the caller; named backends are constructed and shut down here.
 
@@ -83,18 +77,15 @@ def run_sweep(
     ``task_timeout`` bounds the wall-clock runtime per point.  The pool
     backend approximates it with per-task deadlines measured from when a
     worker slot becomes available (a hung worker is terminated rather
-    than joined, so ``run_sweep`` returns); the queue backend enforces it
-    worker-side, killing the over-budget task subprocess.
+    than joined, so ``run_sweep`` returns).  A pool worker that dies
+    mid-point yields an ``error`` record for that point, with or without
+    a timeout.
 
     ``mp_start_method`` picks the multiprocessing context (``spawn`` by
     default: clean workers, no fork-inherited state) and
     ``maxtasksperchild`` recycles pool workers so long sweeps cannot
     accumulate per-worker state (``0`` means never recycle, for
     ``multiprocessing.Pool`` parity).
-
-    ``points_per_ticket`` groups consecutive points into the queue
-    backend's block tickets (the unit work stealing splits -- see
-    ``docs/architecture.md``); other backends ignore it.
 
     ``trace`` receives sweep telemetry (``task`` lifecycle lines:
     submitted, cached, ok/error/timeout) and is handed to the backend for
@@ -167,10 +158,10 @@ def run_sweep(
         if store is not None:
             store.put(record)
 
-    # Ship the scenario's defining module to workers so pools and queue
-    # daemons work under spawn/forkserver too, where the parent's registry
-    # is not inherited.  (A __main__ registration can't be re-imported by
-    # name; it still works under fork, the Linux default.)
+    # Ship the scenario's defining module to workers so pools work under
+    # spawn/forkserver too, where the parent's registry is not inherited.
+    # (A __main__ registration can't be re-imported by name; it still
+    # works under fork, the Linux default.)
     if scenario.fn.__module__ not in ("__main__", None):
         scenario_modules = tuple(dict.fromkeys((*scenario_modules, scenario.fn.__module__)))
 
@@ -184,22 +175,13 @@ def run_sweep(
                 task_timeout=task_timeout,
                 mp_start_method=mp_start_method,
                 maxtasksperchild=maxtasksperchild,
-                queue_dir=queue_dir,
-                points_per_ticket=points_per_ticket,
             )
             if owned
             else backend
         )
         engine.trace = tracer
         tasks = [
-            Task(
-                point=point,
-                key=keys[point.index],
-                scenario_version=scenario.version,
-                code_version=repro.__version__,
-                scenario_modules=scenario_modules,
-                timeout=task_timeout,
-            )
+            Task(point=point, scenario_modules=scenario_modules, timeout=task_timeout)
             for point in pending
         ]
         outstanding = 0

@@ -27,7 +27,7 @@ DEFAULT_STORE = Path("experiment-results")
 
 def atomic_write_text(path: Path, text: str) -> None:
     """Write via tmp-file + rename: a crash never leaves a truncated file
-    that later poisons a cache or a work-queue spool."""
+    that later poisons the cache."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
@@ -172,22 +172,23 @@ class ResultStore:
     ) -> "MergeSummary":
         """Import every record from another store root into this one.
 
-        Cache keys are content hashes, so records written by remote queue
-        workers into local shards integrate under the same keys a central
-        run would have used.  Existing records win unless ``overwrite``
-        (the store is write-once by convention).
+        Cache keys are content hashes, so records from separate runs (say,
+        two machines each running part of a grid into its own store)
+        integrate under the same keys a single run would have used.
+        Existing records win unless ``overwrite`` (the store is write-once
+        by convention).
 
         The write path is batched, not ``put()``-per-record: destination
         keys are snapshotted with one directory listing per scenario (no
         per-record ``stat``), and every imported record is staged through
         a single reused temp file and landed with an atomic
-        ``os.replace`` -- so a fleet's worth of worker shards merges in
-        O(records) cheap syscalls, and a crash mid-merge leaves at most
+        ``os.replace`` -- so a large store merges in O(records) cheap
+        syscalls, and a crash mid-merge leaves at most
         one ``.merge-*.tmp`` staging file, never a truncated record.
         Records are still parsed on the way through: a malformed source
         file raises instead of poisoning the destination.
 
-        Concurrent writers are safe: a worker ``put()``-ing the same key
+        Concurrent writers are safe: a sweep ``put()``-ing the same key
         during the merge races on the final ``os.replace`` only, and both
         sides write complete records, so the destination always holds one
         intact version.

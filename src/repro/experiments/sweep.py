@@ -42,7 +42,7 @@ def _seed_from_parts(
     literal below is that dict's sorted-key form), so seeds and the cache
     keys built on them never move.  Splitting it out lets
     :func:`expand_grid` serialize each params combo once instead of once
-    per replicate -- measurable when a sweep enqueues 10^4 points.
+    per replicate -- measurable when a sweep expands 10^4 points.
     """
     payload = (
         f'{{"base_seed":{int(base_seed)},"params":{params_json},'

@@ -1,7 +1,7 @@
 """The tracer API and JSONL trace format for the telemetry subsystem.
 
 One :class:`Tracer` carries every signal the stack emits -- counters,
-gauges, events, spans, per-round engine samples and end-of-run summaries.
+events, spans, per-round engine samples and end-of-run summaries.
 The base class is the **no-op null tracer**: every method does nothing and
 ``enabled`` is ``False``, so hot paths guard their sample construction with
 one attribute check and pay nothing when tracing is off (asserted by a
@@ -26,7 +26,6 @@ kind        fields
 ==========  =================================================================
 ``meta``    ``schema``, ``source``, ``unix_time``, ``pid`` + free attrs
 ``counter`` ``name``, ``value`` (an increment) + free attrs
-``gauge``   ``name``, ``value`` (a level) + free attrs
 ``event``   ``name`` + free attrs
 ``span``    ``name``, ``dur_s`` + free attrs (emitted when the span closes)
 ``round``   ``round``, ``active``, ``delivered``, ``moved_bits``,
@@ -35,8 +34,9 @@ kind        fields
             the event engine jumped in O(1)
 ``run``     ``engine``, ``rounds``, ``skipped_rounds``, ``node_steps``,
             ``total_bits``, ``total_msgs``, ``halted`` -- one CONGEST run
-``task``    ``state`` (queued|cached|leased|running|done|...), ``index`` +
-            free attrs -- sweep/backend/worker task lifecycle
+``task``    ``state`` (submitted|cached|dispatched|running|ok|error|
+            timeout), ``index`` + free attrs -- sweep/backend task
+            lifecycle
 ==========  =================================================================
 
 The **ambient tracer** (:func:`current_tracer` / :func:`use_tracer`) is how
@@ -44,7 +44,7 @@ instrumentation crosses API layers without threading a ``trace=`` argument
 through every call: ``CongestNetwork`` defaults its tracer to the ambient
 one, and ``execute_point`` installs a writer when the ``REPRO_TRACE_DIR``
 environment variable names a directory -- which is also how a sweep's trace
-switch reaches pool workers and queue daemons in other processes.
+switch reaches pool workers in other processes.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from typing import Any, Iterator
 #: Bumped when the line schema above changes incompatibly.
 TRACE_SCHEMA = 1
 
-#: Environment variable naming the directory task/worker traces land in;
+#: Environment variable naming the directory per-task traces land in;
 #: set by ``python -m repro.experiments run --trace DIR`` and inherited by
 #: every worker process the sweep spawns.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
@@ -105,7 +105,7 @@ class Tracer:
     """The no-op base tracer (and the API every tracer implements).
 
     ``enabled`` gates the *hot-path* signals only (per-round samples, skip
-    events, shard timings): instrumentation checks it before building the
+    events): instrumentation checks it before building the
     sample, so the null tracer costs one attribute read per round.  The
     once-per-something calls (``run_summary``, ``task``, ``span``) are
     always safe to make; on the null tracer they do nothing.
@@ -119,10 +119,6 @@ class Tracer:
     def counter(self, name: str, value: float = 1, **attrs) -> None:
         """Record an increment of a named counter."""
         self.emit("counter", name=name, value=value, **attrs)
-
-    def gauge(self, name: str, value: float, **attrs) -> None:
-        """Record the current level of a named quantity."""
-        self.emit("gauge", name=name, value=value, **attrs)
 
     def event(self, name: str, **attrs) -> None:
         """Record a point-in-time occurrence."""
@@ -407,22 +403,6 @@ def summarize_trace(events: list[dict[str, Any]]) -> dict[str, Any]:
         if e["kind"] == "counter":
             name = e.get("name", "?")
             counters[name] = counters.get(name, 0) + e.get("value", 1)
-    # Gauges are levels, not increments: summarize the range each one
-    # moved through (a fleet trace's spool_depth going 500 -> 0 reads as
-    # min/max/last, where a counter-style sum would be meaningless).
-    gauges: dict[str, dict[str, float]] = {}
-    for e in events:
-        if e["kind"] != "gauge":
-            continue
-        name = e.get("name", "?")
-        value = float(e.get("value", 0))
-        stat = gauges.setdefault(
-            name, {"count": 0, "min": value, "max": value, "last": value}
-        )
-        stat["count"] += 1
-        stat["min"] = min(stat["min"], value)
-        stat["max"] = max(stat["max"], value)
-        stat["last"] = value
     named_events: dict[str, int] = {}
     for e in events:
         if e["kind"] == "event":
@@ -453,7 +433,6 @@ def summarize_trace(events: list[dict[str, Any]]) -> dict[str, Any]:
         ],
         "spans": {k: spans[k] for k in sorted(spans)},
         "counters": {k: counters[k] for k in sorted(counters)},
-        "gauges": {k: gauges[k] for k in sorted(gauges)},
         "events": {k: named_events[k] for k in sorted(named_events)},
         "task_states": {k: tasks[k] for k in sorted(tasks)},
     }

@@ -1,12 +1,12 @@
-"""Execution backends: cross-backend equivalence, watchdog, spool, merge.
+"""Execution backends: cross-backend equivalence, pool crash isolation,
+timeouts, result integrity and store merge.
 
-The queue-backend tests spawn real worker daemons (``python -m
-repro.experiments worker``) or drain the spool in-process with
-:func:`run_worker`; scenario registrations below are shipped to workers by
+Scenario registrations below are shipped to spawn-started pool workers by
 module name (``tests.test_backends``), exactly like user scenarios are.
 """
 
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -21,40 +21,27 @@ import pytest
 import repro
 from repro.experiments import (
     ParamSpec,
+    ProcessPoolBackend,
     ResultStore,
-    SerialBackend,
-    WorkQueueBackend,
     expand_grid,
     get_scenario,
     run_sweep,
-    run_worker,
     scenario,
 )
-from repro.experiments.backends import resolve_backend
-from repro.experiments.backends.base import Task
-from repro.experiments.backends.queue import ticket_name
-from repro.experiments.backends.spool import SHARDS, ShardedSpool
-from repro.experiments.store import ResultRecord, cache_key
-
-
-def _task(point, **overrides) -> Task:
-    fields = dict(
-        point=point,
-        key=cache_key(point.scenario, point.params, point.seed),
-        scenario_version="1",
-        code_version=repro.__version__,
-        scenario_modules=("tests.test_backends",),
-    )
-    fields.update(overrides)
-    return Task(**fields)
+from repro.experiments.backends import BACKEND_NAMES, resolve_backend
+from repro.experiments.cli import main as cli_main
+from repro.experiments.reporting import builtin_scenarios
+from repro.experiments.store import ResultRecord
 
 _SRC = Path(repro.__file__).resolve().parents[1]
 _ROOT = _SRC.parent
-#: Daemon subprocesses must import both `repro` and this test module.
-_WORKER_ENV = {
+#: Sweep subprocesses (and their spawned workers) must import both `repro`
+#: and this test module.
+_SUBPROCESS_ENV = {
+    **os.environ,
     "PYTHONPATH": os.pathsep.join(
         p for p in (str(_SRC), str(_ROOT), os.environ.get("PYTHONPATH", "")) if p
-    )
+    ),
 }
 
 
@@ -71,8 +58,9 @@ def _bk_sleepy(*, seed, delay):
 
 @scenario("bk-crash", params=[ParamSpec("x", int, 1)])
 def _bk_crash(*, seed, x):
-    os.kill(os.getpid(), signal.SIGKILL)
-    return {"unreachable": True}  # pragma: no cover
+    if x == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return {"x": x}
 
 
 @scenario("bk-unjson", params=[ParamSpec("x", int, 1)])
@@ -87,31 +75,19 @@ def _comparable(record) -> dict:
 
 
 class TestCrossBackendEquivalence:
-    def test_same_sweep_identical_records_across_backends(self, tmp_path):
-        """Acceptance: serial, pool and a 2-daemon queue produce
-        field-identical records (modulo duration_s)."""
+    def test_same_sweep_identical_records_across_backends(self):
+        """Acceptance: serial and pool produce field-identical records
+        (modulo duration_s)."""
         points = expand_grid(get_scenario("bk-echo"), {"x": [1, 2, 3, 4]})
         serial = run_sweep(points, store=None, backend="serial")
         pool = run_sweep(
             points, store=None, backend="pool", workers=2, mp_start_method="fork"
         )
-        queue_backend = WorkQueueBackend(
-            tmp_path / "spool",
-            workers=2,
-            mp_start_method="fork",
-            worker_env=_WORKER_ENV,
-        )
-        try:
-            queued = run_sweep(
-                points, store=ResultStore(tmp_path / "store"), backend=queue_backend
-            )
-        finally:
-            queue_backend.shutdown()
-        assert serial.ok and pool.ok and queued.ok
-        assert queued.executed == 4
-        serial_records = [_comparable(r) for r in serial.records]
-        assert [_comparable(r) for r in pool.records] == serial_records
-        assert [_comparable(r) for r in queued.records] == serial_records
+        assert serial.ok and pool.ok
+        assert pool.executed == 4
+        assert [_comparable(r) for r in pool.records] == [
+            _comparable(r) for r in serial.records
+        ]
 
     def test_auto_backend_preserves_historical_selection(self):
         assert resolve_backend("auto", workers=1).name == "serial"
@@ -119,8 +95,6 @@ class TestCrossBackendEquivalence:
         assert resolve_backend("auto", workers=1, task_timeout=1.0).name == "pool"
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("bogus")
-        with pytest.raises(ValueError, match="queue_dir"):
-            resolve_backend("queue")
 
     def test_serial_backend_rejects_timeout(self):
         points = expand_grid(get_scenario("bk-echo"), {"x": [1]})
@@ -137,172 +111,99 @@ class TestCrossBackendEquivalence:
         assert report.ok and report.executed == 2
 
 
-class TestQueueBackend:
-    def test_watchdog_kills_over_budget_task_and_persists_timeout(self, tmp_path):
-        """Acceptance: a worker-side runtime limit actually kills an
-        over-budget task and a `timeout` record lands in the store."""
-        store = ResultStore(tmp_path / "store")
+#: Runs the 3-point ``bk-crash`` sweep on a 2-worker pool in a fresh
+#: interpreter and prints ``[status, error]`` per record as JSON.
+_CRASH_SWEEP = """
+import json, sys
+import tests.test_backends
+from repro.experiments import expand_grid, get_scenario, run_sweep
+report = run_sweep(
+    expand_grid(get_scenario("bk-crash"), {"x": [1, 2, 3]}),
+    store=None, backend="pool", workers=2, mp_start_method=sys.argv[1],
+)
+print(json.dumps([[r.status, r.error] for r in report.records]))
+"""
+
+
+class TestPoolCrashIsolation:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_worker_killed_mid_point_becomes_error_record(self, start_method):
+        """A worker SIGKILLed at x=2 with no timeout set: that point is an
+        `error` naming the dead worker, the others finish `ok`, and the
+        sweep returns.  It runs in a subprocess so a hang fails here
+        instead of stalling the suite."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _CRASH_SWEEP, start_method],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            cwd=_ROOT,
+            env=_SUBPROCESS_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        (ok1, died, ok3) = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert ok1 == ["ok", None] and ok3 == ["ok", None]
+        status, error = died
+        assert status == "error"
+        assert re.search(r"pool worker pid \d+ died while running this point", error)
+
+    def test_timed_out_sweep_leaves_no_child_processes(self):
         points = expand_grid(get_scenario("bk-sleepy"), {"delay": [30.0]})
-        backend = WorkQueueBackend(
-            tmp_path / "spool", workers=1, mp_start_method="fork", worker_env=_WORKER_ENV
+        report = run_sweep(
+            points, store=None, workers=1, task_timeout=0.5, mp_start_method="fork"
         )
-        start = time.monotonic()
-        try:
-            report = run_sweep(points, store=store, backend=backend, task_timeout=1.0)
-        finally:
-            backend.shutdown()
-        assert time.monotonic() - start < 20.0
-        record = report.records[0]
-        assert record.status == "timeout"
-        assert "killed by worker watchdog" in record.error
-        assert report.failed == 1 and not report.ok
-        persisted = store.get("bk-sleepy", record.key)
-        assert persisted is not None and persisted.status == "timeout"
+        assert report.records[0].status == "timeout"
+        assert multiprocessing.active_children() == []
 
-    def test_worker_crash_mid_task_becomes_error_record(self, tmp_path):
-        points = expand_grid(get_scenario("bk-crash"), {"x": [1]})
-        backend = WorkQueueBackend(
-            tmp_path / "spool", workers=1, mp_start_method="fork", worker_env=_WORKER_ENV
-        )
-        try:
-            report = run_sweep(points, store=None, backend=backend)
-        finally:
-            backend.shutdown()
-        record = report.records[0]
-        assert record.status == "error"
-        assert "died without reporting" in record.error
-        assert report.failed == 1
 
-    def test_external_worker_drains_and_writes_shard(self, tmp_path):
-        """workers=0: tickets wait for an external daemon; the daemon's
-        --store shard holds full records under the same cache keys."""
-        shard = ResultStore(tmp_path / "shard")
-        points = expand_grid(get_scenario("bk-echo"), {"x": [5, 6]})
-        backend = WorkQueueBackend(tmp_path / "spool", workers=0)
-        for p in points:
-            backend.submit(_task(p))
-        assert backend.spool.depth() == 2
-        n_done = run_worker(
-            tmp_path / "spool",
-            store=shard,
-            max_idle=0.5,
-            poll_interval=0.05,
-            mp_start_method="fork",
-        )
-        assert n_done == 2
-        collected = backend.poll()
-        assert len(collected) == 2
-        assert shard.count("bk-echo") == 2
-        for task, outcome in collected:
-            assert outcome["status"] == "ok"
-            record = shard.get("bk-echo", task.key)
-            assert record is not None
-            assert record.result == outcome["result"]
-            assert record.seed == task.point.seed
+#: Wall-clock fields of ``fig3-engine-speedup``: the only result values
+#: that legitimately differ between two runs of the same point.
+_WALL_CLOCK = {"fig3-engine-speedup": {"dense_seconds", "event_seconds", "speedup"}}
 
-    def test_dead_worker_fleet_fails_outstanding_tasks(self, tmp_path):
-        """A fully-exited spawned fleet becomes error outcomes, not an
-        exception out of poll() -- finished records must survive."""
-        backend = WorkQueueBackend(tmp_path / "spool", workers=0)
-        backend.submit(_task(expand_grid(get_scenario("bk-echo"), {"x": [7]})[0]))
-        dead = subprocess.Popen([sys.executable, "-c", ""])
-        dead.wait()
-        backend._procs = [dead]
-        batch = backend.poll()
-        assert len(batch) == 1
-        _, outcome = batch[0]
-        assert outcome["status"] == "error"
-        assert "workers exited" in outcome["error"]
-        backend._procs = []  # the dummy is not a real daemon; skip STOP logic
-        backend.shutdown()
 
-    def test_claimed_ticket_is_leased_and_drains_to_serial_records(self, tmp_path):
-        """A claim moves exactly one ticket into claims/ and heartbeats it;
-        a worker then drains the spool to records matching a serial run
-        field for field."""
-        points = expand_grid(get_scenario("bk-echo"), {"x": [1, 2, 3, 4, 5]})
-        backend = WorkQueueBackend(tmp_path / "spool", workers=0)
-        paths = backend.paths
-        for p in points:
-            backend.submit(_task(p))
+@pytest.fixture(scope="class")
+def fork_pool():
+    backend = ProcessPoolBackend(workers=2, mp_start_method="fork")
+    yield backend
+    backend.shutdown()
 
-        name, ticket = ShardedSpool(paths).claim()
-        [point] = ticket["points"]
-        claimed = points[point["index"]]
-        assert point["key"] == cache_key("bk-echo", claimed.params, claimed.seed)
-        assert backend.spool.depth() == 4
-        assert (paths.claims / name).exists() and paths.heartbeat(name).exists()
-        # Hand it back so the worker below sees the full spool.
-        paths.heartbeat(name).unlink()
-        (paths.claims / name).unlink()
-        backend.spool.enqueue(name, ticket)
 
-        shard = ResultStore(tmp_path / "shard")
-        n_done = run_worker(
-            tmp_path / "spool",
-            store=shard,
-            max_idle=0.5,
-            poll_interval=0.05,
-            mp_start_method="fork",
-        )
-        assert n_done == 5
-        assert not list(paths.claims.glob("*"))  # all leases released
-        collected = backend.poll()
-        assert sorted(t.index for t, _ in collected) == [0, 1, 2, 3, 4]
-        assert all(outcome["status"] == "ok" for _, outcome in collected)
+class TestEveryScenarioAcrossBackends:
+    @pytest.mark.parametrize("name", [scn.name for scn in builtin_scenarios()])
+    def test_first_default_point_identical_on_serial_and_pool(self, name, fork_pool):
+        point = expand_grid(get_scenario(name))[:1]
+        records = []
+        for backend in ("serial", fork_pool):
+            (record,) = run_sweep(point, store=None, backend=backend).records
+            assert record.status == "ok", record.error
+            data = _comparable(record)
+            for field in _WALL_CLOCK.get(name, ()):
+                data["result"].pop(field)
+            records.append(data)
+        assert records[0] == records[1]
 
-        serial = run_sweep(points, store=None, backend="serial")
-        by_index = {t.index: o for t, o in collected}
-        for record, point in zip(serial.records, points):
-            assert by_index[point.index]["result"] == record.result
-            shard_record = shard.get("bk-echo", cache_key("bk-echo", point.params, point.seed))
-            assert shard_record is not None
-            assert _comparable(shard_record) == _comparable(record)
 
-    def test_ticket_name_is_one_content_addressed_format(self):
-        points = [{"index": 3, "key": "k1"}, {"index": 4, "key": "k2"}]
-        name = ticket_name(points, "n0nce")
-        assert re.fullmatch(r"000003-blk2-[0-9a-f]{12}-n0nce\.json", name)
-        assert ticket_name([dict(p) for p in points], "n0nce") == name
-        assert ticket_name(points, "n0nce", "r1") == name.replace("-blk2-", "-blk2-r1-")
-        # The digest covers every point's cache key, not just the first.
-        assert ticket_name([points[0], {"index": 4, "key": "k9"}], "n0nce") != name
+class TestRemovedInterface:
+    def test_backend_names_are_serial_and_pool(self):
+        assert BACKEND_NAMES == ("auto", "serial", "pool")
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend("queue")
 
-    def test_stale_lease_is_requeued_then_failed(self, tmp_path):
-        backend = WorkQueueBackend(
-            tmp_path / "spool", workers=0, lease_timeout=0.1, max_requeues=1
-        )
-        paths = backend.paths
-        points = expand_grid(get_scenario("bk-echo"), {"x": [9]})
-        backend.submit(_task(points[0]))
-
-        def spooled() -> list[Path]:
-            return [t for i in range(SHARDS) for t in paths.shard_dir(i).glob("*.json")]
-
-        def fake_dead_claim():
-            # A worker claims the ticket, then dies without heartbeating.
-            [ticket] = spooled()
-            os.rename(ticket, paths.claims / ticket.name)
-            stale = time.time() - 60.0
-            os.utime(paths.claims / ticket.name, (stale, stale))
-
-        fake_dead_claim()
-        time.sleep(0.15)
-        assert backend.poll() == []  # first expiry: republished
-        # Reclaim republishes under a fresh generation name (a resumed
-        # owner must never collide with the new claimant's lease).
-        requeued = spooled()
-        assert len(requeued) == 1
-        assert "-r1-" in requeued[0].name
-        assert json.loads(requeued[0].read_text())["attempts"] == 1
-
-        fake_dead_claim()
-        time.sleep(0.15)
-        batch = backend.poll()  # second expiry: attempts exhausted
-        assert len(batch) == 1
-        task, outcome = batch[0]
-        assert outcome["status"] == "error"
-        assert "lease expired" in outcome["error"]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["worker", "spool"],
+            ["fleet", "spool"],
+            ["run", "bk-echo", "--no-store", "--backend", "queue"],
+            ["run", "bk-echo", "--no-store", "--queue-dir", "spool"],
+            ["run", "bk-echo", "--no-store", "--points-per-ticket", "2"],
+        ],
+        ids=["worker", "fleet", "backend-queue", "queue-dir", "points-per-ticket"],
+    )
+    def test_cli_rejects_removed_commands_and_options(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
 
 
 class TestResultIntegrity:
@@ -380,7 +281,7 @@ class TestStoreMerge:
         assert not list((tmp_path / "dest").rglob(".merge-*"))
 
     def test_merge_under_concurrent_writer_keeps_all_records(self, tmp_path):
-        """A worker put()-ing into the destination mid-merge races only on
+        """A sweep put()-ing into the destination mid-merge races only on
         atomic renames: every record from both sides survives intact."""
         import threading
 

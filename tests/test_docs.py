@@ -4,11 +4,13 @@ import importlib
 import inspect
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import repro.experiments
+from repro.experiments.cli import _build_parser
 from repro.experiments.reporting import builtin_scenarios, scenarios_markdown
 
 REPO = Path(__file__).resolve().parent.parent
@@ -65,6 +67,61 @@ class TestDocLinks:
                 continue
             resolved = (path.parent / target).resolve()
             assert resolved.exists(), f"{doc}: broken relative link {target!r}"
+
+
+#: ``python -m repro.experiments`` (the CLI, not a submodule such as
+#: ``repro.experiments.reporting.docs``) and everything after it.
+_CLI_CALL = re.compile(r"python -m repro\.experiments(?=\s|$)(.*)")
+
+
+def _fenced_cli_calls(text: str) -> list[str]:
+    """The argument strings of every CLI call inside a fenced block, with
+    backslash continuations joined."""
+    calls, in_fence, line_so_far = [], False, ""
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            in_fence, line_so_far = not in_fence, ""
+            continue
+        if not in_fence:
+            continue
+        if line.rstrip().endswith("\\"):
+            line_so_far += line.rstrip()[:-1] + " "
+            continue
+        match = _CLI_CALL.search(line_so_far + line)
+        line_so_far = ""
+        if match:
+            calls.append(match.group(1))
+    return calls
+
+
+def _cli_argv(args: str) -> list[str]:
+    """Shell-split one call's arguments, stopping at a pipe, redirect or
+    comment."""
+    lexer = shlex.shlex(args, posix=True, punctuation_chars=True)
+    lexer.whitespace_split = True
+    argv = []
+    for token in lexer:
+        if set(token) <= set(lexer.punctuation_chars):
+            break
+        argv.append(token)
+    return argv
+
+
+class TestDocCliCalls:
+    @pytest.mark.parametrize(
+        "doc", ["README.md"] + sorted(f"docs/{p.name}" for p in (REPO / "docs").glob("*.md"))
+    )
+    def test_every_documented_cli_call_parses(self, doc, capsys):
+        calls = _fenced_cli_calls((REPO / doc).read_text())
+        assert calls, f"{doc}: no `python -m repro.experiments` call in a fenced block"
+        for args in calls:
+            try:
+                _build_parser().parse_args(_cli_argv(args))
+            except SystemExit:
+                pytest.fail(
+                    f"{doc}: `python -m repro.experiments{args}` does not parse: "
+                    f"{capsys.readouterr().err.strip().splitlines()[-1]}"
+                )
 
 
 def _experiment_modules():

@@ -72,7 +72,6 @@ class TestNullTracer:
             for i in range(500):
                 tracer.emit("round", round=i, active=3, sent_bits=64)
                 tracer.counter("messages", 2)
-                tracer.gauge("depth", i)
                 tracer.task("running", i)
                 with tracer.span("step"):
                     pass
@@ -269,27 +268,6 @@ class TestReportPages:
 
     def test_trace_files_rejects_nothing_silently(self, tmp_path):
         assert trace_files(tmp_path) == []
-
-    def test_fleet_gauges_summarized_and_charted(self, tmp_path):
-        """Fleet-controller telemetry (gauge levels + named events) lands
-        in the summary dict and as a gauge chart on the timeline page."""
-        path = tmp_path / "fleet-1.jsonl"
-        with TraceWriter(path, source="fleet") as tracer:
-            for depth, workers in [(10, 0), (6, 2), (0, 2)]:
-                tracer.gauge("spool_depth", depth)
-                tracer.gauge("fleet_workers", workers)
-            tracer.event("worker_spawned", count=2, workers=2)
-            tracer.event("fleet_exit", spawned=2, retired=0)
-        events = read_trace(path)
-        summary = summarize_trace(events)
-        assert summary["gauges"]["spool_depth"] == {
-            "count": 3, "min": 0.0, "max": 10.0, "last": 0.0,
-        }
-        assert summary["gauges"]["fleet_workers"]["max"] == 2.0
-        assert summary["events"] == {"fleet_exit": 1, "worker_spawned": 1}
-        html = render_timeline_page(load_traces([tmp_path]))
-        assert "Gauges" in html
-        assert "spool_depth" in html
 
 
 class TestRegressionGate:
