@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.congest.message import Received, bit_size
+from repro.congest.message import Received
 from repro.congest.node import Node, NodeProgram
 
 
@@ -398,8 +398,3 @@ class LocalComputationPhase(Phase):
 
     def on_enter(self, node: Node, shared: dict) -> None:
         self.fn(node, shared)
-
-
-def estimate_item_bits(item: Any) -> int:
-    """Bit size of a pipelined item (for bandwidth sanity checks in tests)."""
-    return bit_size(item)

@@ -95,19 +95,19 @@ def _min_edge_index(node: Node):
     """The network's batched min-edge reduction service, when applicable.
 
     Returns the pre-sorted :class:`~repro.congest.columnar.MinEdgeIndex`
-    only when the engine opted in (``uses_min_edge_index``: the event
-    engine) and the node is not restricted to a marked subnetwork --
-    ``m_neighbors`` runs keep the explicit filter path, and the dense
-    reference engine keeps the per-neighbour scan so cross-engine runs
-    check the index against it.
+    whenever the node's network offers one and the node is not restricted
+    to a marked subnetwork (``m_neighbors`` runs keep the explicit filter
+    path).  A node handle with no such network -- the CONGEST spec's, in
+    the test suite -- gets ``None`` and the per-neighbour scan, so spec
+    runs check the index against that scan.
     """
-    network = node._network
-    if not getattr(network.engine, "uses_min_edge_index", False):
+    min_edge_index = getattr(getattr(node, "_network", None), "min_edge_index", None)
+    if min_edge_index is None:
         return None
     inputs = node.input if isinstance(node.input, dict) else {}
     if inputs.get("m_neighbors") is not None:
         return None
-    return network.min_edge_index()
+    return min_edge_index()
 
 
 def _min_outgoing(node: Node, label_of: dict, my_label) -> tuple | None:

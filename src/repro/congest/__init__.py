@@ -8,15 +8,12 @@ of rounds, messages and bits.
 - :mod:`repro.congest.message`   -- payload bit-size accounting.
 - :mod:`repro.congest.node`      -- node handles and the program interface
   (including the idleness hints the event engine exploits).
-- :mod:`repro.congest.transport` -- the reference link buffers, chunking,
-  strict-mode checks and bit metrics (``LinkTransport``).
 - :mod:`repro.congest.columnar`  -- the struct-of-arrays
-  ``ColumnarTransport`` the event engine runs on (no code shared with
-  ``LinkTransport``) and the ``MinEdgeIndex`` reduction service.
-- :mod:`repro.congest.engine`    -- the two schedulers: the reference
-  ``DenseEngine`` (over ``LinkTransport``) and the event-driven
-  ``EventEngine`` (over ``ColumnarTransport``), both over one step loop
-  (``StepPlan`` / ``step_batch``).
+  ``ColumnarTransport``: link buffers, chunking, strict-mode checks and
+  bit metrics; and the ``MinEdgeIndex`` reduction service.
+- :mod:`repro.congest.engine`    -- the scheduler: the event-driven
+  ``EventEngine`` over ``ColumnarTransport``, stepping nodes through one
+  loop (``StepPlan`` / ``step_batch``).
 - :mod:`repro.congest.network`   -- the ``CongestNetwork`` façade tying the
   layers together.
 - :mod:`repro.congest.topology`  -- network families, including the
@@ -24,10 +21,13 @@ of rounds, messages and bits.
 - :mod:`repro.congest.faults`    -- deterministic fault injection: seeded
   ``FaultPlan`` schedules (drops, duplicates, reorders, crash spans, edge
   churn) applied by a ``FaultyTransport`` wrapper under the engine seam.
+
+The reference these layers are checked against is not in this package:
+``tests/congest_spec.py`` is a literal CONGEST(B) spec that shares no code
+with them, and the equivalence suite requires identical ``RunResult``\\ s.
 """
 
 from repro.congest.engine import (
-    DenseEngine,
     Engine,
     EventEngine,
     StepPlan,
@@ -49,19 +49,16 @@ from repro.congest.topology import (
     simulation_network,
     simulation_network_parameters,
 )
-from repro.congest.transport import LinkTransport
 
 __all__ = [
     "CongestNetwork",
     "RunResult",
     "BandwidthExceeded",
     "Engine",
-    "DenseEngine",
     "EventEngine",
     "StepPlan",
     "step_batch",
     "get_engine",
-    "LinkTransport",
     "run_program",
     "FaultPlan",
     "FaultyTransport",

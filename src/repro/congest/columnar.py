@@ -1,20 +1,22 @@
 """Columnar transport and batched reductions: the event engine's hot path.
 
-:class:`ColumnarTransport` is the event engine's transport.  It keeps the
-public contract of the reference
-:class:`~repro.congest.transport.LinkTransport` but shares no code with
-it: it stores a round's staged sends as flat parallel columns (an
-``array('q')`` edge-id column, an ``array('q')`` bits column and a payload
-list) instead of one ``_InFlight`` object per message, and keeps each
-directed edge as a small permanent :class:`_EdgeQueue` whose *head*
-progress is accounted lazily against an internal clock -- a busy edge
-costs nothing per round until its head message actually completes.
+:class:`ColumnarTransport` is the bottom of the three-layer CONGEST stack
+(transport -> scheduler -> program API): it owns the per-directed-edge
+link state and everything charged by the bit -- strict-mode bandwidth
+checks, message chunking over ``ceil(bits/B)`` rounds, the run metrics
+(``total_bits``, ``per_round_bits``, ``max_edge_bits_per_round``) and the
+optional per-message log.  It stores a round's staged sends as flat
+parallel columns (an ``array('q')`` edge-id column, an ``array('q')``
+bits column and a payload list) and keeps each directed edge as a small
+permanent :class:`_EdgeQueue` whose *head* progress is accounted lazily
+against an internal clock -- a busy edge costs nothing per round until its
+head message actually completes.
 
 The transport keeps its edge-clock schedule as a completion-clock heap
 (one ``(completion, seq, eid)`` entry per live edge), making
 :meth:`~ColumnarTransport.deliver_round` O(completing edges) and
-:meth:`~ColumnarTransport.rounds_until_delivery` O(1), where the reference
-transport pays O(live edges) per executed round.  Because links drain
+:meth:`~ColumnarTransport.rounds_until_delivery` O(1), where a
+link-by-link advance pays O(live edges) per executed round.  Because links drain
 deterministically at ``B`` bits per round, a stretch of rounds in which no
 message completes is accounted in one :meth:`~ColumnarTransport.skip_rounds`
 call (each busy link moves exactly ``B`` bits per skipped round), keeping
@@ -45,25 +47,27 @@ CONGEST programs, which respect the per-round budget), the entire
 staged round completes exactly one round later as a single *block*: no
 per-message queue appends, no clock installs -- ``deliver_round`` emits
 the block straight from the staged columns in first-appearance edge
-order, which is precisely the reference link-dict's insertion order.  A
+order, which is precisely the order in which the links became busy.  A
 flush while a block is pending first *materializes* the block into the
 per-edge queues (byte-identical to having taken the general path), so
 arbitrary flush/deliver/skip interleavings stay exact.
 
-The staging order is exactly the engines' send order (node-id order
+The staging order is exactly the engine's send order (node-id order
 within a round, program send order within a node), and per-edge FIFOs
 are keyed by a monotonically increasing activation sequence, so
-deliveries, metrics and the opt-in message log are byte-identical to the
-reference transport -- the cross-engine equivalence suite enforces this.
-Nothing in this module requires numpy.
+deliveries, metrics and the opt-in message log are byte-identical to a
+plain link-by-link advance -- ``tests/test_engine_equivalence.py`` and the
+lockstep tests in ``tests/test_columnar.py`` check this against the
+literal CONGEST spec in ``tests/congest_spec.py``.  Nothing in this module
+requires numpy.
 
 :class:`MinEdgeIndex` is the batched min-edge reduction service used by
 the Boruvka/GKP fragment-minimum phases: incident edges are pre-sorted
 once per network by the canonical edge key, so each per-iteration
 "lightest outgoing edge" query is a prefix scan over the sorted incident
 list instead of a key construction per neighbour per query.  Engines opt
-in via ``Engine.uses_min_edge_index`` (the event engine does); the
-per-neighbour loop the dense engine runs remains the reference path.
+whenever the node's network offers the index (the spec's node handle
+does not, so spec runs check the index against the per-neighbour loop).
 """
 
 from __future__ import annotations
@@ -74,14 +78,18 @@ from heapq import heappop, heappush
 from typing import Any, Hashable, NamedTuple
 
 from repro.congest.message import Received
-from repro.congest.transport import BandwidthExceeded
+
+
+class BandwidthExceeded(RuntimeError):
+    """Raised in strict mode when a round's traffic on an edge exceeds B."""
+
 
 class RoundGroup(NamedTuple):
     """One staged round grouped by directed edge (the flush's grouping).
 
     ``order`` lists message indices grouped by edge -- edges in
     first-appearance order, FIFO within each edge -- which is exactly the
-    insertion order of the reference transport's link dict; when every
+    order in which a link-by-link advance meets the edges; when every
     staged message sits on a distinct edge it is simply ``range(n)``.
     ``edge_order`` / ``edge_sums`` are parallel per-edge columns in that
     same first-appearance order.  ``edge_counts`` carries the per-edge
@@ -155,9 +163,8 @@ class _EdgeQueue:
     ``head_clock + ceil(head_rem / B)`` is computed once and pushed on
     the transport's completion-clock heap).  ``seq`` is the edge's
     *activation* sequence number, refreshed each time the edge goes from
-    drained back to live: it orders same-round completions exactly as the
-    reference transport's insertion-ordered link dict does, including
-    drain-then-revive reinsertion at the end.
+    drained back to live: it orders same-round completions by when their
+    links became busy, a link that drained and filled again going last.
     """
 
     __slots__ = ("sender", "receiver", "seq", "recs", "bits", "head", "head_clock", "head_rem", "live")
@@ -177,10 +184,11 @@ class _EdgeQueue:
 class ColumnarTransport:
     """Struct-of-arrays transport with event-driven delivery accounting.
 
-    Same ``enqueue`` / ``flush`` / ``deliver_round`` contract and metrics
-    as the reference :class:`~repro.congest.transport.LinkTransport`, plus
-    the event clock's ``rounds_until_delivery`` / ``skip_rounds``; a
-    different cost model:
+    The engine drives it through ``enqueue`` / ``flush`` (stage a round's
+    sends, then commit them at the round barrier, where strict mode checks
+    the per-edge budget), ``deliver_round`` (advance every link by one
+    round's budget and collect completed messages) and the event clock's
+    ``rounds_until_delivery`` / ``skip_rounds``.  Its cost model:
 
     - staging is three column appends, not an object allocation;
     - a quiet live edge costs nothing per round (no per-head decrement);
@@ -189,10 +197,6 @@ class ColumnarTransport:
       block straight from the staged columns;
     - ``rounds_until_delivery`` / ``pending_traffic`` are O(1).
     """
-
-    #: Networks bind their tracer here (see ``CongestNetwork``) so flush
-    #: can sample per-round batch sizes without an engine round-trip.
-    wants_trace = True
 
     def __init__(self, bandwidth: int, strict: bool = False, record_messages: bool = False):
         if bandwidth < 1:
@@ -276,7 +280,7 @@ class ColumnarTransport:
         if self.strict and bits > self.bandwidth:
             # Totals are normally folded in at the flush barrier; an abort
             # mid-round must first account the already-staged messages so
-            # the counters match the reference's per-enqueue accounting.
+            # the counters match per-send accounting.
             self.total_messages += len(self._stage_recs)
             self.total_bits += sum(self._stage_bits)
             raise BandwidthExceeded(
@@ -363,15 +367,15 @@ class ColumnarTransport:
         bits_col = self._stage_bits
         recs = self._stage_recs
         group = group_round(eids, bits_col, bw)
-        # Batched totals: the reference counts per enqueue, but by the time
+        # Batched totals: counting per enqueue would give, by the time
         # anything can observe them (the flush barrier -- including a
         # strict-mode failure, which counts the whole staged round first,
-        # exactly as per-enqueue counting would have) the values agree.
+        # exactly as per-enqueue counting would have) the same values.
         self.total_messages += n
         self.total_bits += group.total_bits
         if self.strict and not group.all_fit:
             # Raise *before* anything is committed (first offending edge in
-            # first-seen order, matching the reference message exactly).
+            # first-seen order).
             for eid, bits in zip(group.edge_order, group.edge_sums):
                 if bits > bw:
                     queue = self._queues[eid]
@@ -417,8 +421,8 @@ class ColumnarTransport:
 
     def _commit_rows(self, eids: array, bits_col: array, recs: list[Any]) -> None:
         """The general commit: append rows to their edge queues, activating
-        drained queues with a fresh sequence number (the reference link
-        dict's drain-then-revive insertion order) and pushing their head
+        drained queues with a fresh sequence number (a revived link goes
+        last in the same-round delivery order) and pushing their head
         completion on the edge clock."""
         clock = self._clock
         bw = self.bandwidth
@@ -458,8 +462,8 @@ class ColumnarTransport:
         """Advance one round; touch only the edges whose head completes.
 
         A pending block is emitted straight from its staged columns, in
-        first-appearance edge order (the reference link-dict insertion
-        order), FIFO within each edge.  On the general path, every live
+        first-appearance edge order (the order the links became busy), FIFO
+        within each edge.  On the general path, every live
         edge moves exactly ``B`` bits this round unless its head completes
         (then it moves its remainder plus any cascade of queued messages
         fitting the leftover budget) -- so the per-round bit total is

@@ -1,41 +1,32 @@
-"""The scheduler layer: the two round engines over the transport.
+"""The scheduler layer: the event engine over the columnar transport.
 
 The middle of the three-layer CONGEST stack.  An :class:`Engine` decides
-*which* nodes are stepped *when*; the transport (bit accounting) below and
-the program API (algorithm logic) above are engine-agnostic, so both
-engines produce the same :class:`RunResult` for the same program:
+*which* nodes are stepped *when*; the transport below
+(:class:`~repro.congest.columnar.ColumnarTransport`, bit accounting) and
+the program API above (algorithm logic) know nothing of the schedule.
 
-- :class:`DenseEngine` -- the reference semantics: every non-halted node is
-  stepped every round, over the reference
-  :class:`~repro.congest.transport.LinkTransport`, and MST programs use the
-  per-neighbour min-edge scan.  Cost grows with ``n x rounds`` even when
-  almost every node is idle.
-- :class:`EventEngine` -- the fast path.  It maintains an active-node set
-  and steps a node only if it has deliveries this round or its program
-  declared the round non-idle (via
-  :meth:`repro.congest.node.NodeProgram.next_active_round`).  Rounds in
-  which nothing happens are skipped in O(1) by jumping the clock to the
-  next delivery or program wake-up.  It runs over the struct-of-arrays
-  :class:`~repro.congest.columnar.ColumnarTransport` (flat staging columns,
-  lazy per-edge head accounting, a completion-clock heap), which accounts
-  the skipped stretch exactly, and opts in to the batched
-  :class:`~repro.congest.columnar.MinEdgeIndex` reduction service for the
-  Boruvka/GKP fragment-minimum phases.
+:class:`EventEngine` is the one engine.  It maintains an active-node set
+and steps a node only if it has deliveries this round or its program
+declared the round non-idle (via
+:meth:`repro.congest.node.NodeProgram.next_active_round`).  Rounds in which
+nothing happens are skipped in O(1) by jumping the clock to the next
+delivery, program wake-up or scheduled fault event; the columnar transport
+accounts the skipped stretch exactly.  The Boruvka/GKP fragment-minimum
+phases consult the network's pre-sorted
+:class:`~repro.congest.columnar.MinEdgeIndex`.
 
-Engines declare their transport via the ``transport_class`` attribute and
-their reduction opt-in via ``uses_min_edge_index``; the network builds
-both.  The two transports share no code, so the cross-engine equivalence
-suite compares two independent implementations.
-
-Both engines express a round's work as a :class:`StepPlan`: the ordered
-active set plus that round's inboxes.  :func:`step_batch` is the one inner
-loop that actually calls ``on_round``.
+A round's work is a :class:`StepPlan`: the ordered active set plus that
+round's inboxes.  :func:`step_batch` is the one inner loop that actually
+calls ``on_round``.
 
 Equivalence contract: a program's idleness hint must only skip rounds whose
 ``on_round`` call would have been a no-op (no sends, no halting, no change
-to future behaviour) -- the default hint claims no idle rounds, so arbitrary
-programs run identically on both engines, and hinted programs are covered
-by the cross-engine equivalence suite (``tests/test_engine_equivalence.py``).
+to future behaviour).  The default hint claims no idle rounds.  The
+reference is ``tests/congest_spec.py``, a literal CONGEST(B) spec that
+shares no code with this stack and steps every live node every round;
+``tests/test_engine_equivalence.py`` requires identical ``RunResult``\\ s
+from both, for the algorithm families and for random programs under random
+fault plans.
 """
 
 from __future__ import annotations
@@ -43,9 +34,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Hashable
-
-from repro.congest.columnar import ColumnarTransport
-from repro.congest.transport import LinkTransport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.congest.message import Received
@@ -127,15 +115,7 @@ class Engine:
     """
 
     name = "abstract"
-    #: Transport the network builds for this engine.
-    transport_class = LinkTransport
-    #: Whether MST-family programs should route fragment-minimum queries
-    #: through the network's pre-sorted :class:`MinEdgeIndex` instead of
-    #: the per-neighbour scan.  Off for the reference engine so
-    #: cross-engine comparisons check the index against the scan.
-    uses_min_edge_index = False
-    #: ``on_round`` calls made (both engines) / quiet rounds jumped in O(1)
-    #: (the event engine; always 0 for the dense engine).
+    #: ``on_round`` calls made / quiet rounds jumped in O(1).
     node_steps = 0
     skipped_rounds = 0
 
@@ -182,74 +162,6 @@ class Engine:
             )
 
 
-class DenseEngine(Engine):
-    """The reference scheduler: every non-halted node steps every round."""
-
-    name = "dense"
-
-    def __init__(self) -> None:
-        self.node_steps = 0
-
-    def run(self, network: "CongestNetwork", max_rounds: int, stop_on_quiescence: bool) -> RunResult:
-        transport = network.transport
-        trace = network.trace
-        tracing = trace.enabled
-        fault_plan = network.faults
-        # The crash predicate, hoisted so fault-free runs pay one None check.
-        crashed = fault_plan.crashed if fault_plan is not None and fault_plan.has_crashes else None
-        has_events = fault_plan is not None and (fault_plan.crashes or fault_plan.topology_events)
-        self._start(network)
-
-        round_no = 0
-        while round_no < max_rounds:
-            if all(node.halted for node in network.nodes.values()):
-                break
-            if (
-                stop_on_quiescence
-                and round_no > 0
-                and transport.per_round_bits
-                and transport.per_round_bits[-1] == 0
-                and transport.pending_traffic() == 0
-                and not transport.has_outgoing()
-                # A pending crash/recovery/topology event can re-animate a
-                # silent network; keep the clock running until the schedule
-                # is exhausted.
-                and (not has_events or fault_plan.next_event_round(round_no) is None)
-            ):
-                round_no -= 1  # the silent probe round does not count
-                break
-            round_no += 1
-            network.current_round = round_no
-            if fault_plan is not None and fault_plan.topology_events:
-                network.apply_topology_events(round_no)
-            if tracing:
-                pre_msgs, pre_bits = transport.total_messages, transport.total_bits
-            inboxes = transport.deliver_round()
-            plan = StepPlan(
-                round_no,
-                [
-                    nid
-                    for nid, node in network.nodes.items()
-                    if not node.halted and (crashed is None or not crashed(nid, round_no))
-                ],
-                inboxes,
-            )
-            self.node_steps += step_batch(network, plan)
-            transport.flush()
-            if tracing:
-                trace.emit(
-                    "round",
-                    round=round_no,
-                    active=len(plan.node_ids),
-                    delivered=sum(len(msgs) for msgs in inboxes.values()),
-                    moved_bits=transport.per_round_bits[-1],
-                    sent_msgs=transport.total_messages - pre_msgs,
-                    sent_bits=transport.total_bits - pre_bits,
-                )
-
-        return self._result(network, round_no)
-
-
 class EventEngine(Engine):
     """Active-set scheduler with an O(1) fast path over quiet rounds.
 
@@ -257,29 +169,24 @@ class EventEngine(Engine):
     program scheduled a wake-up for it.  The engine jumps the clock from
     one interesting round to the next (the transport accounts the skipped
     stretch), delivers, and steps -- in the network's canonical node order,
-    so interleavings match the dense engine exactly -- only the nodes that
-    received something or asked to be woken.
+    so interleavings match a step-every-node scheduler exactly -- only the
+    nodes that received something or asked to be woken.
 
-    The network builds a :class:`~repro.congest.columnar.ColumnarTransport`
-    (``transport_class``) for it, so staging is flat column appends,
-    executed rounds cost O(completing edges) instead of O(live edges), and
-    the per-round quiescence probes (``pending_traffic`` /
-    ``rounds_until_delivery``) are O(1).  The engine also opts in to the
-    network's pre-sorted :class:`~repro.congest.columnar.MinEdgeIndex`
-    (``uses_min_edge_index``), which the Boruvka/GKP fragment-minimum
-    phases consult instead of constructing an edge key per neighbour per
-    iteration.
+    It runs over the network's
+    :class:`~repro.congest.columnar.ColumnarTransport`, so staging is flat
+    column appends, executed rounds cost O(completing edges) instead of
+    O(live edges), and the per-round quiescence probes
+    (``pending_traffic`` / ``rounds_until_delivery``) are O(1).
 
     ``node_steps`` counts ``on_round`` calls and ``skipped_rounds`` the
     quiet rounds jumped in O(1), both for introspection; on mostly quiet
-    workloads ``node_steps`` is far below the dense engine's ``n x rounds``.
+    workloads ``node_steps`` is far below the ``n x rounds`` a
+    step-every-node scheduler makes.
     When tracing is on, the transport emits one ``columnar_batch`` event
     per non-empty flush and the run ends with a ``columnar_summary`` event.
     """
 
     name = "event"
-    transport_class = ColumnarTransport
-    uses_min_edge_index = True
 
     def __init__(self) -> None:
         self.node_steps = 0
@@ -334,8 +241,8 @@ class EventEngine(Engine):
                 and transport.per_round_bits[-1] == 0
                 and transport.pending_traffic() == 0
                 and not transport.has_outgoing()
-                # Match the dense engine: a scheduled crash/recovery/topology
-                # event can re-animate a silent network.
+                # A scheduled crash/recovery/topology event can re-animate a
+                # silent network.
                 and (not has_events or fault_plan.next_event_round(round_no) is None)
             ):
                 round_no -= 1  # the silent probe round does not count
@@ -352,8 +259,9 @@ class EventEngine(Engine):
             fault_round = fault_plan.next_event_round(round_no) if has_events else None
 
             if stop_on_quiescence and transport.pending_traffic() == 0:
-                # The dense engine probes the very next round and stops on
-                # silence; jumping over it would skip that termination point.
+                # Quiescence is probed on the very next round, which stops the
+                # run on silence; jumping over it would skip that termination
+                # point.
                 target = round_no + 1
             elif delivery_round is None and program_round is None and fault_round is None:
                 # Nothing will ever happen again: idle out the clock.
@@ -440,26 +348,19 @@ class EventEngine(Engine):
         return result
 
 
-_ENGINES = {
-    "dense": DenseEngine,
-    "event": EventEngine,
-}
-
-
 def get_engine(spec: str | Engine, threads: int | None = None, *, graph=None) -> Engine:
-    """Resolve an engine spec: an :class:`Engine` instance or a name.
+    """Resolve an engine spec: an :class:`Engine` instance or the name
+    ``"event"``.
 
-    ``threads`` must be ``None``: both engines step their nodes on the
-    calling thread, and a thread count is rejected rather than silently
-    ignored.  ``graph`` is accepted for callers that pass the workload and
-    is ignored: no engine choice depends on it.
+    ``threads`` must be ``None``: the engine steps its nodes on the calling
+    thread, and a thread count is rejected rather than silently ignored.
+    ``graph`` is accepted for callers that pass the workload and is
+    ignored: no engine choice depends on it.
     """
     if threads is not None:
         raise ValueError(f"engines take no thread count (got threads={threads!r})")
     if isinstance(spec, Engine):
         return spec
-    try:
-        cls = _ENGINES[spec]
-    except KeyError:
-        raise ValueError(f"unknown engine {spec!r}; known: {sorted(_ENGINES)}") from None
-    return cls()
+    if spec != EventEngine.name:
+        raise ValueError(f"unknown engine {spec!r}; known: [{EventEngine.name!r}]")
+    return EventEngine()

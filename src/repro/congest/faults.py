@@ -4,19 +4,19 @@ Every scenario used to run on a static, reliable network; this module makes
 adversity a first-class, *reproducible* input.  A :class:`FaultPlan` is a
 pure value describing the adversary -- per-edge message drop / duplication /
 reorder probabilities, node crash+recovery spans, and scheduled edge
-insertion/deletion events -- and a :class:`FaultyTransport` wraps any
-transport (``LinkTransport`` or ``ColumnarTransport``) and applies the plan
-at the flush barrier.
+insertion/deletion events -- and a :class:`FaultyTransport` wraps the
+engine's ``ColumnarTransport`` and applies the plan at the flush barrier.
 
 **Determinism contract.**  Every message-fault decision is a pure function
 of ``(plan seed, round, directed edge, per-edge message index)`` via a
 :func:`hash <FaultPlan.decision>` -- no RNG state, no engine state.  The
 wrapper stages each round's sends itself, applies the faults to the staged
-sequence (which every engine produces in the same canonical order), and
+sequence (which the engine produces in canonical node order), and
 re-emits the survivors into the wrapped transport in the original global
-staging order.  Since both transports are already proven byte-identical for
-identical enqueue sequences, both engines (dense / event) produce
-**byte-identical faulted runs** for the same plan.
+staging order.  ``tests/congest_spec.py`` applies the same plan from its
+fields and the pure decision predicates, with no code shared with this
+wrapper, and the equivalence suite requires **byte-identical faulted
+runs** from both.
 
 **Fault semantics.**
 
@@ -36,8 +36,8 @@ identical enqueue sequences, both engines (dense / event) produce
   (counted as ``link_lost``) and the endpoints' neighbour lists shrink, so
   programs never observe a delivery from an edge that no longer exists.
 
-The engines cooperate through two hooks: :meth:`FaultPlan.next_event_round`
-joins the event engine's skip-target candidates so O(1) jumps never leap
+The event engine cooperates through two hooks: :meth:`FaultPlan.next_event_round`
+joins its skip-target candidates so O(1) jumps never leap
 past a scheduled crash, recovery, or topology event (the wrapper's
 :meth:`FaultyTransport.skip_rounds` guard enforces this), and
 :meth:`FaultPlan.forced_wakes` tells it which nodes must be stepped at
@@ -58,7 +58,7 @@ from typing import Any, Hashable, Iterable, NamedTuple
 
 import networkx as nx
 
-from repro.congest.transport import BandwidthExceeded
+from repro.congest.columnar import BandwidthExceeded
 from repro.obs.trace import Tracer, current_tracer
 
 __all__ = [
@@ -132,7 +132,7 @@ class FaultPlan:
     """A seeded, declarative adversary for one CONGEST run.
 
     The plan is a *value*: two plans constructed with equal fields make
-    identical decisions on every engine, thread count, and backend, because
+    identical decisions in every run, process and backend, because
     each decision hashes ``(seed, kind, round, edge, msg_index)`` and
     nothing else.  ``window`` bounds the rounds (inclusive) in which the
     probabilistic message faults fire; crash spans and topology events
@@ -253,7 +253,7 @@ class FaultPlan:
 
         Pure in ``(seed, kind, round, edge, index)``: blake2b of the tuple's
         canonical encoding, so the decision is identical regardless of
-        engine, thread count, claim batching, or process.
+        which rounds a scheduler executes, or of the process.
         """
         digest = hashlib.blake2b(
             f"{self.seed}|{kind}|{round_no}|{sender!r}|{receiver!r}|{index}".encode(),
@@ -305,9 +305,9 @@ class FaultPlan:
         """Whether the link ``{u, v}`` is deleted (and not re-inserted) as of
         ``round_no``, per the plan's event timeline.
 
-        Used for the in-flight loss rule at delivery: the timeline view is
-        engine-independent, unlike the live graph, whose catch-up state could
-        differ between engines mid-skip.
+        Used for the in-flight loss rule at delivery: the timeline view does
+        not depend on which rounds were executed, unlike the live graph,
+        which the event engine catches up only at executed rounds.
         """
         if not self._has_deletes:
             return False
@@ -487,16 +487,12 @@ class FaultyTransport:
     legitimately trip it -- strict runs should keep ``dup_prob`` at zero.
     """
 
-    #: The network forwards its tracer to transports advertising this.
-    wants_trace = True
-
     def __init__(self, inner, plan: FaultPlan, trace: Tracer | None = None):
         self.inner = inner
         self.plan = plan
         self.stats = FaultStats()
         self.trace = trace if trace is not None else current_tracer()
-        if getattr(type(inner), "wants_trace", False):
-            inner.trace = self.trace
+        inner.trace = self.trace
         self.record_messages = inner.record_messages
         # The wrapper owns the program-send log; stop the inner transport
         # from duplicating it for the post-fault stream.
@@ -656,7 +652,7 @@ class FaultyTransport:
         """Advance one round; discard deliveries the plan makes impossible.
 
         Two discard rules apply here, both functions of ``(plan, round)``
-        alone so every engine discards identically: inboxes addressed to a
+        alone, so they do not depend on the schedule: inboxes addressed to a
         crashed node are lost (``crash_lost``), and messages whose link was
         deleted while they were in flight are lost (``link_lost``).
         """
@@ -697,9 +693,9 @@ class FaultyTransport:
 
         A program holding a stale neighbour reference (e.g. a BFS-tree child
         recorded before the plan deleted the link) may still attempt the
-        send; the plan's timeline decides -- engine-independently -- that
-        the message vanishes (``link_lost``) instead of the node-handle
-        neighbour check raising.  Sends to pairs that were never linked
+        send; the plan's timeline decides -- independently of the schedule
+        -- that the message vanishes (``link_lost``) instead of the
+        node-handle neighbour check raising.  Sends to pairs that were never linked
         still raise as usual.
         """
         if not self.plan._has_deletes:

@@ -12,24 +12,19 @@ certify they never exceed the per-round budget.
 
 The implementation is split into three layers (see each module's docstring):
 
-- :mod:`repro.congest.transport` / :mod:`repro.congest.columnar` -- per-edge
-  bit accounting, chunking, strict-mode checks, metrics: the reference
-  :class:`LinkTransport` and the struct-of-arrays
-  :class:`~repro.congest.columnar.ColumnarTransport`, which share no code;
-- :mod:`repro.congest.engine` -- the two round schedulers: the reference
-  :class:`~repro.congest.engine.DenseEngine` (every node, every round, over
-  ``LinkTransport``) and the default
+- :mod:`repro.congest.columnar` -- per-edge bit accounting, chunking,
+  strict-mode checks and metrics (:class:`ColumnarTransport`), plus the
+  batched min-edge reductions;
+- :mod:`repro.congest.engine` -- the round scheduler,
   :class:`~repro.congest.engine.EventEngine` (active-node set, O(1) skips
-  over quiet rounds, over ``ColumnarTransport`` with batched min-edge
-  reductions);
+  over quiet rounds);
 - :mod:`repro.congest.node` -- the program API, including the idleness
-  hints (``next_active_round`` / phase-level ``idle_until``) the event
-  engine exploits.
+  hints (``next_active_round`` / phase-level ``idle_until``) the engine
+  exploits.
 
-:class:`CongestNetwork` wires the three together; pick the engine with the
-``engine="event"|"dense"`` kwarg.  Both engines produce identical
-:class:`RunResult`\\ s for the same program -- ``dense`` is the reference
-to cross-check against, ``event`` the default fast path.
+:class:`CongestNetwork` wires the three together.  Its results are checked
+against ``tests/congest_spec.py``, a literal CONGEST(B) spec that shares no
+code with these layers.
 """
 
 from __future__ import annotations
@@ -39,12 +34,11 @@ from typing import Any, Callable, Hashable
 
 import networkx as nx
 
-from repro.congest.columnar import MinEdgeIndex
+from repro.congest.columnar import BandwidthExceeded, ColumnarTransport, MinEdgeIndex
 from repro.congest.engine import Engine, RunResult, get_engine
 from repro.congest.faults import FaultPlan, FaultyTransport, apply_topology_event
 from repro.congest.node import Node, NodeProgram
 from repro.congest.topology import build_adjacency, invalidate_adjacency
-from repro.congest.transport import BandwidthExceeded, LinkTransport
 from repro.obs.trace import Tracer, current_tracer
 
 __all__ = ["BandwidthExceeded", "CongestNetwork", "RunResult", "run_program"]
@@ -92,20 +86,16 @@ class CongestNetwork:
         self.trace = trace if trace is not None else current_tracer()
         self._rng = random.Random(seed)
         self.n_nodes = graph.number_of_nodes()
-        # Engine first: it declares the transport layout it runs against
-        # (LinkTransport for dense, the struct-of-arrays ColumnarTransport
-        # for event).
         self.engine = get_engine(engine)
-        self.transport = self.engine.transport_class(
+        self.transport = ColumnarTransport(
             bandwidth, strict=strict, record_messages=record_messages
         )
         if faults is not None:
-            # The fault seam sits between the engine and the transport it
-            # asked for; even an empty plan goes through the wrapper so the
+            # The fault seam sits between the engine and the transport;
+            # even an empty plan goes through the wrapper so the
             # equivalence suite can assert the wrapper itself is transparent.
             self.transport = FaultyTransport(self.transport, faults, trace=self.trace)
-        if getattr(type(self.transport), "wants_trace", False):
-            self.transport.trace = self.trace
+        self.transport.trace = self.trace
         self._min_edge_index: MinEdgeIndex | None = None
         if faults is not None and self.trace.enabled:
             for span in faults.crashes:
@@ -133,8 +123,8 @@ class CongestNetwork:
 
     def min_edge_index(self) -> MinEdgeIndex:
         """The batched fragment-minimum service: incident edges pre-sorted
-        by canonical edge key, built lazily once per network.  Engines opt
-        in via ``uses_min_edge_index`` (see the MST programs)."""
+        by canonical edge key, built lazily once per network (see the MST
+        programs)."""
         index = self._min_edge_index
         if index is None:
             index = self._min_edge_index = MinEdgeIndex(self.graph, self.weight_key)

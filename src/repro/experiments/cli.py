@@ -5,7 +5,6 @@ Examples::
     python -m repro.experiments list
     python -m repro.experiments run fig3-mst-tradeoff
     python -m repro.experiments run chsh-gamma2 --set restarts=1,4,16 --replicates 3
-    python -m repro.experiments run boruvka-mst-sweep --engine dense
     python -m repro.experiments run spanner-skeleton --backend pool --timeout 60
     python -m repro.experiments merge experiment-results other-run-results
     python -m repro.experiments report fig3-mst-tradeoff
@@ -29,7 +28,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.congest.engine import _ENGINES
 from repro.experiments.backends import BACKEND_NAMES
 from repro.experiments.registry import ScenarioNotFound, get_scenario, list_scenarios
 from repro.experiments.runner import run_sweep
@@ -64,13 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="process-pool size (1 = serial); the pool pays about 1 s of worker "
         "start-up, so on 2 cores it loses to serial on the default grids and wins "
         "by about 1.25x only on sweeps of a minute or more",
-    )
-    run.add_argument(
-        "--engine",
-        choices=tuple(_ENGINES),
-        default=None,
-        help="CONGEST engine axis (scenarios declaring an `engine` param only); "
-        "`dense` is the reference, `event` the default",
     )
     run.add_argument(
         "--fault-seed",
@@ -194,10 +185,8 @@ def _cmd_list() -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     scn = get_scenario(args.scenario)
     grid = parse_axis_overrides(args.overrides)
-    # --engine is sugar for a grid axis; expand_grid rejects it with a
+    # --fault-seed is sugar for a grid axis; expand_grid rejects it with a
     # clean error if the scenario does not declare the param.
-    if args.engine is not None:
-        grid["engine"] = [args.engine]
     if args.fault_seed is not None:
         grid["fault_seed"] = [args.fault_seed]
     points = expand_grid(scn, grid, replicates=args.replicates, base_seed=args.base_seed)

@@ -24,10 +24,12 @@ Layers, bottom up:
   :mod:`~repro.experiments.reporting.trends` -- telemetry pages: JSONL
   trace timelines and the cross-``BENCH_*.json`` speedup history;
 - :mod:`~repro.experiments.reporting.docs` -- the generated-checked
-  ``docs/scenarios.md`` catalog.
+  ``docs/scenarios.md`` catalog.  It is imported on first use of
+  ``builtin_scenarios`` / ``scenarios_markdown``, not with the package, so
+  ``python -m repro.experiments.reporting.docs`` runs it as a fresh
+  ``__main__``.
 """
 
-from repro.experiments.reporting.docs import builtin_scenarios, scenarios_markdown
 from repro.experiments.reporting.html import (
     page_name,
     render_index,
@@ -62,3 +64,11 @@ __all__ = [
     "render_trends_page",
     "scenarios_markdown",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("builtin_scenarios", "scenarios_markdown"):
+        from repro.experiments.reporting import docs
+
+        return getattr(docs, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

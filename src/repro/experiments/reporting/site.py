@@ -7,11 +7,11 @@ repro.experiments report --html OUT_DIR``: it reads every record from a
 each scenario to ``OUT_DIR/<scenario>.html`` and the cross-scenario
 summary to ``OUT_DIR/index.html``, and returns the index path.
 
-Benchmark JSON files (the ``BENCH_*.json`` artifacts written by
-``benchmarks/engine_speedup.py`` / ``engine_columnar.py`` /
-``backend_drain.py``) can ride along: :func:`extract_speedups` walks any
-of their shapes for ``speedup`` measurements and the site turns them into
-an engine-speedup bar chart on the index page.
+Benchmark JSON files (the committed ``BENCH_*.json`` history and the
+artifact ``benchmarks/backend_drain.py`` writes) can ride along:
+:func:`extract_speedups` walks any of their shapes for ``speedup``
+measurements and the site turns them into a speedup bar chart on the
+index page.
 """
 
 from __future__ import annotations

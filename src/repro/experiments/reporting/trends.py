@@ -1,12 +1,10 @@
 """Cross-BENCH trend page: speedup history across benchmark artifacts.
 
-Every CI bench-smoke run leaves ``BENCH_*.json`` artifacts; laid side by
-side in filename order they are a history.  This module walks each file
-with :func:`~repro.experiments.reporting.site.extract_speedups`, lines the
+The committed ``BENCH_*.json`` artifacts, laid side by side in filename
+order, are a history.  This module walks each file with
+:func:`~repro.experiments.reporting.site.extract_speedups`, lines the
 measurements up per label, and renders one trend chart plus the value
-table -- the "living perf dashboard" half of the regression gate
-(``benchmarks/check_regression.py`` is the enforcing half; this page is
-the human-readable view of the same numbers).
+table.
 """
 
 from __future__ import annotations

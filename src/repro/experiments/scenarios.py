@@ -37,7 +37,7 @@ from repro.core.gamma2 import gamma2_dual
 from repro.core.nonlocal_games import chsh_game
 from repro.core.server_model import StructuredServerProtocol, two_party_simulation_of_server
 from repro.core.simulation_theorem import SimulationTheoremNetwork
-from repro.congest.engine import _ENGINES, Engine, get_engine
+from repro.congest.engine import Engine, get_engine
 from repro.experiments.registry import ParamSpec, PlotSpec, scenario
 from repro.graphs.generators import (
     connect_nearest_components,
@@ -49,13 +49,12 @@ from repro.graphs.generators import (
 from repro.graphs.spatial import GridIndex
 
 
-#: Engine-selection axes shared by the CONGEST-heavy scenarios, so sweeps
-#: can put the execution engine itself on the grid (``--engine dense``
-#: at the CLI).  ``engine_threads`` is kept only so existing cache keys and
-#: external readers stay stable: 0 is the only accepted value, and anything
-#: else makes ``get_engine`` raise.
+#: Engine-selection axes shared by the CONGEST-heavy scenarios.  There is
+#: one engine, ``event``; both axes are kept only so existing cache keys and
+#: external readers stay stable: ``event`` and 0 are the only accepted
+#: values, and anything else makes ``get_engine`` raise.
 ENGINE_PARAMS = (
-    ParamSpec("engine", str, "event", "CONGEST engine: " + "|".join(_ENGINES)),
+    ParamSpec("engine", str, "event", "CONGEST engine: event"),
     ParamSpec("engine_threads", int, 0, "reserved; must be 0 (engines take no thread count)"),
 )
 
@@ -191,88 +190,6 @@ def fig3_mst_tradeoff(
         "combined_rounds": min(elkin.rounds, gkp.rounds),
         "formula_lower_bound": formula["lower_bound"],
         "formula_upper_bound": formula["upper_bound"],
-    }
-
-
-@scenario(
-    "fig3-engine-speedup",
-    description="Dense vs event CONGEST engine on one Fig. 3 grid point (wall-clock)",
-    params=[
-        ParamSpec("n", int, 60, "nodes in the live CONGEST network"),
-        ParamSpec("aspect_ratio", float, 8192.0, "weight aspect ratio W"),
-        ParamSpec("alpha", float, 2.0, "Elkin approximation factor"),
-        ParamSpec("bandwidth", int, 128, "CONGEST bandwidth B for the GKP run"),
-        ParamSpec("extra_edge_prob", float, 0.08, "extra-edge density of the random graph"),
-        ParamSpec("graph_seed", int, 17, "topology seed"),
-    ],
-    default_grid={},
-    tags=("congest", "engine", "perf"),
-    plots=(
-        PlotSpec(
-            name="engine-seconds",
-            title="Engine wall-clock on the Fig. 3 point",
-            x="W",
-            ys=("dense_seconds", "event_seconds"),
-            kind="scatter",
-            logx=True,
-            logy=True,
-            x_label="aspect ratio W",
-            y_label="seconds",
-        ),
-        PlotSpec(
-            name="engine-speedup",
-            title="Event-engine speedup over the dense reference",
-            x="W",
-            ys=("speedup",),
-            kind="scatter",
-            logx=True,
-            x_label="aspect ratio W",
-            y_label="x faster",
-        ),
-    ),
-)
-def fig3_engine_speedup(
-    *,
-    seed: int,
-    n: int,
-    aspect_ratio: float,
-    alpha: float,
-    bandwidth: int,
-    extra_edge_prob: float,
-    graph_seed: int,
-) -> dict:
-    """Run the same grid point on both engines; results must agree exactly.
-
-    Times the dense reference engine against the event-driven default on
-    one Fig. 3 instance (Elkin + GKP back to back) and cross-checks that
-    every run metric matches.  Result keys: ``W``, ``elkin_rounds``,
-    ``gkp_rounds``, ``dense_seconds``, ``event_seconds``, ``speedup`` and
-    the ``engines_agree`` verdict.
-    """
-    import time
-
-    graph = _fig3_graph(seed, n, aspect_ratio, extra_edge_prob, graph_seed)
-    timings: dict[str, float] = {}
-    runs: dict[str, tuple] = {}
-    for engine in ("dense", "event"):
-        start = time.perf_counter()
-        _, elkin = run_elkin_approx_mst(graph, alpha=alpha, engine=engine)
-        _, gkp = run_gkp_mst(graph, bandwidth=bandwidth, engine=engine)
-        timings[engine] = time.perf_counter() - start
-        runs[engine] = (elkin, gkp)
-    agree = all(
-        getattr(runs["dense"][i], f) == getattr(runs["event"][i], f)
-        for i in (0, 1)
-        for f in ("rounds", "total_bits", "total_messages", "halted")
-    )
-    return {
-        "W": aspect_ratio,
-        "elkin_rounds": runs["event"][0].rounds,
-        "gkp_rounds": runs["event"][1].rounds,
-        "dense_seconds": timings["dense"],
-        "event_seconds": timings["event"],
-        "speedup": timings["dense"] / max(timings["event"], 1e-9),
-        "engines_agree": agree,
     }
 
 
@@ -766,7 +683,7 @@ def spanner_skeleton(
     (n-1 edges) and the other four, all at n=120, had n or n+1 edges.
     The phased CONGEST construction is mostly quiet by design, so the
     scenario also reports how much of the dense ``n x rounds`` schedule the
-    active-set engines actually stepped.
+    event engine actually stepped.
     """
     graph = random_weighted_graph(
         n, aspect_ratio=aspect_ratio, extra_edge_prob=extra_edge_prob, seed=seed

@@ -2,7 +2,7 @@
 
 See :mod:`repro.obs.trace` for the tracer API and the trace line schema,
 and ``docs/observability.md`` for the workflow (tracing a sweep, reading a
-trace, the timeline page and the CI regression gate).
+trace, the timeline page and the perf dashboard).
 """
 
 from repro.obs.trace import (

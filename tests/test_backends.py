@@ -156,11 +156,6 @@ class TestPoolCrashIsolation:
         assert multiprocessing.active_children() == []
 
 
-#: Wall-clock fields of ``fig3-engine-speedup``: the only result values
-#: that legitimately differ between two runs of the same point.
-_WALL_CLOCK = {"fig3-engine-speedup": {"dense_seconds", "event_seconds", "speedup"}}
-
-
 @pytest.fixture(scope="class")
 def fork_pool():
     backend = ProcessPoolBackend(workers=2, mp_start_method="fork")
@@ -176,10 +171,7 @@ class TestEveryScenarioAcrossBackends:
         for backend in ("serial", fork_pool):
             (record,) = run_sweep(point, store=None, backend=backend).records
             assert record.status == "ok", record.error
-            data = _comparable(record)
-            for field in _WALL_CLOCK.get(name, ()):
-                data["result"].pop(field)
-            records.append(data)
+            records.append(_comparable(record))
         assert records[0] == records[1]
 
 

@@ -1,8 +1,9 @@
 """Columnar transport unit tests: the struct-of-arrays hot path in isolation.
 
-The cross-engine suite (``test_engine_equivalence.py``) pins whole runs to
-the dense reference; these tests drive :class:`ColumnarTransport` directly
-against :class:`LinkTransport` on randomised edge workloads, check the
+The equivalence suite (``test_engine_equivalence.py``) pins whole runs to
+the CONGEST spec; these tests drive :class:`ColumnarTransport` directly,
+in lockstep with the spec's own per-edge FIFO links
+(``tests/congest_spec.py``) on randomised edge workloads, check the
 flush grouping (:func:`group_round`) and the edge clock's same-round
 ordering, pin the telemetry events and strict-mode error texts, exercise
 the numpy-absent import guard, and check that :class:`MinEdgeIndex`
@@ -19,18 +20,47 @@ from array import array
 import networkx as nx
 import pytest
 
-from repro.algorithms.mst import edge_key
-from repro.congest.columnar import ColumnarTransport, MinEdgeIndex, group_round
-from repro.congest.engine import get_engine
+from repro.algorithms.mst import _min_edge_index, edge_key
+from repro.congest.columnar import BandwidthExceeded, ColumnarTransport, MinEdgeIndex, group_round
 from repro.congest.network import CongestNetwork, run_program
 from repro.congest.node import NodeProgram
-from repro.congest.transport import BandwidthExceeded, LinkTransport
 from repro.graphs.generators import random_connected_graph
 from repro.obs.trace import CollectingTracer
+from tests import congest_spec
+from tests.congest_spec import SpecNetwork
+
+
+class _SpecLinks:
+    """The spec's links driven like a transport: ``SpecNetwork``'s own
+    send, flush and per-round advance over a complete graph."""
+
+    def __init__(self, bandwidth, nodes=10, **kwargs):
+        self.net = SpecNetwork(nx.complete_graph(nodes), NodeProgram, bandwidth=bandwidth, **kwargs)
+        self.clock = 0
+
+    def enqueue(self, sender, receiver, payload, bits, round_no):
+        self.net.round = round_no
+        self.net.offer(sender, (receiver,), payload, bits)
+
+    def flush(self):
+        self.net.flush()
+
+    def deliver_round(self):
+        self.clock += 1
+        return self.net.deliver(self.clock)
+
+    def rounds_until_delivery(self):
+        """Each link head gets the full budget every round, so it completes
+        in ``ceil(remaining / B)`` rounds; ``None`` when nothing is in flight."""
+        bw = self.net.bandwidth
+        return min((-(-queue[0][0] // bw) for queue in self.net.links.values()), default=None)
+
+    def __getattr__(self, name):
+        return getattr(self.net, name)
 
 
 def _drain(transport):
-    """One round on either transport, normalised for comparison."""
+    """One round on either side, normalised for comparison."""
     inboxes = transport.deliver_round()
     return {
         receiver: [(m.sender, m.payload, m.bits) for m in msgs]
@@ -38,90 +68,83 @@ def _drain(transport):
     }
 
 
-def _rounds_until_delivery(base):
-    """The reference gap for a :class:`LinkTransport`: each link head gets
-    the full budget every round, so it completes in ``ceil(remaining / B)``
-    rounds; ``None`` when nothing is in flight."""
-    bw = base.bandwidth
-    return min((-(-queue[0].remaining // bw) for queue in base._links.values()), default=None)
-
-
 def _random_workload(seed, rounds=40, nodes=6, bandwidth=16):
-    """Drive both transports through an identical random send schedule and
-    yield (baseline, columnar) after every round for lockstep comparison."""
+    """Drive the spec's links and the columnar transport through an
+    identical random send schedule and yield (spec, columnar) after every
+    round for lockstep comparison."""
     rng = random.Random(seed)
-    base = LinkTransport(bandwidth, record_messages=True)
+    spec = _SpecLinks(bandwidth, nodes=nodes, record_messages=True)
     cols = ColumnarTransport(bandwidth, record_messages=True)
     for round_no in range(1, rounds + 1):
         for _ in range(rng.randrange(0, 8)):
             sender, receiver = rng.sample(range(nodes), 2)
             bits = rng.randrange(1, 3 * bandwidth)
             payload = ("p", round_no, sender, receiver, bits)
-            base.enqueue(sender, receiver, payload, bits, round_no)
+            spec.enqueue(sender, receiver, payload, bits, round_no)
             cols.enqueue(sender, receiver, payload, bits, round_no)
-        assert cols.has_outgoing() == base.has_outgoing()
-        base.flush()
+        assert cols.has_outgoing() == bool(spec.staged)
+        spec.flush()
         cols.flush()
-        yield round_no, base, cols
+        yield round_no, spec, cols
 
 
 class TestTransportLockstep:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_deliveries_and_metrics_match_baseline(self, seed):
-        for round_no, base, cols in _random_workload(seed):
-            assert cols.rounds_until_delivery() == _rounds_until_delivery(base)
-            assert cols.pending_traffic() == base.pending_traffic()
-            assert _drain(cols) == _drain(base), round_no
-            assert cols.per_round_bits == base.per_round_bits
-            assert cols.max_edge_bits_per_round == base.max_edge_bits_per_round
-        assert cols.total_messages == base.total_messages
-        assert cols.total_bits == base.total_bits
-        assert cols.message_log == base.message_log
+    def test_deliveries_and_metrics_match_the_spec(self, seed):
+        for round_no, spec, cols in _random_workload(seed):
+            assert cols.rounds_until_delivery() == spec.rounds_until_delivery()
+            assert cols.pending_traffic() == spec.pending_traffic()
+            assert _drain(cols) == _drain(spec), round_no
+            assert cols.per_round_bits == spec.per_round_bits
+            assert cols.max_edge_bits_per_round == spec.max_edge_bits
+        assert cols.total_messages == spec.total_messages
+        assert cols.total_bits == spec.total_bits
+        assert cols.message_log == spec.message_log
 
-    def test_drain_then_revive_keeps_baseline_delivery_order(self):
+    def test_drain_then_revive_keeps_the_spec_delivery_order(self):
         # An edge that drains and is re-created must complete *after* edges
-        # created in between -- the baseline's insertion-ordered link dict
-        # behaviour, reproduced columnar-side by the edge creation sequence.
+        # created in between -- the spec's links in the order they became
+        # busy, reproduced columnar-side by the edge activation sequence.
         bw = 8
-        base = LinkTransport(bw)
+        spec = _SpecLinks(bw)
         cols = ColumnarTransport(bw)
-        for t in (base, cols):
+        for t in (spec, cols):
             t.enqueue(0, 1, "a", bw, 1)
             t.flush()
-        assert _drain(cols) == _drain(base)  # edge (0, 1) drains
-        for t in (base, cols):
+        assert _drain(cols) == _drain(spec)  # edge (0, 1) drains
+        for t in (spec, cols):
             t.enqueue(2, 1, "b", bw, 2)  # new edge while (0, 1) is dead
             t.enqueue(0, 1, "c", bw, 2)  # (0, 1) revived -- now *after* (2, 1)
             t.flush()
-        assert _drain(cols) == _drain(base)
+        assert _drain(cols) == _drain(spec)
 
     @pytest.mark.parametrize("seed", [5, 17])
-    def test_skip_rounds_matches_baseline(self, seed):
+    def test_skip_rounds_matches_the_spec(self, seed):
         rng = random.Random(seed)
         bw = 16
-        base = LinkTransport(bw)
+        spec = _SpecLinks(bw)
         cols = ColumnarTransport(bw)
         for round_no in range(1, 12):
             for _ in range(rng.randrange(1, 4)):
                 sender, receiver = rng.sample(range(5), 2)
                 bits = rng.randrange(bw, 20 * bw)
-                base.enqueue(sender, receiver, ("p", round_no), bits, round_no)
+                spec.enqueue(sender, receiver, ("p", round_no), bits, round_no)
                 cols.enqueue(sender, receiver, ("p", round_no), bits, round_no)
-            base.flush()
+            spec.flush()
             cols.flush()
             gap = cols.rounds_until_delivery()
             if gap is not None and gap > 1:
-                # A skip is k quiet rounds of the reference per-round path:
+                # A skip is k quiet rounds of the spec's per-round advance:
                 # nothing delivered, the same bits moved, round by round.
                 skip = rng.randrange(1, gap)
-                reference = [_drain(base) for _ in range(skip)]
+                reference = [_drain(spec) for _ in range(skip)]
                 assert reference == [{}] * skip
-                assert cols.skip_rounds(skip) == sum(base.per_round_bits[-skip:])
-                assert cols.per_round_bits == base.per_round_bits
-                assert cols.max_edge_bits_per_round == base.max_edge_bits_per_round
-            assert _drain(cols) == _drain(base)
-            assert cols.per_round_bits == base.per_round_bits
-            assert cols.pending_traffic() == base.pending_traffic()
+                assert cols.skip_rounds(skip) == sum(spec.per_round_bits[-skip:])
+                assert cols.per_round_bits == spec.per_round_bits
+                assert cols.max_edge_bits_per_round == spec.max_edge_bits
+            assert _drain(cols) == _drain(spec)
+            assert cols.per_round_bits == spec.per_round_bits
+            assert cols.pending_traffic() == spec.pending_traffic()
 
     def test_skip_rounds_crossing_a_delivery_raises(self):
         cols = ColumnarTransport(8)
@@ -142,24 +165,24 @@ class TestTransportLockstep:
     def test_same_round_completions_pop_in_activation_order(self):
         # Edge ids follow first-ever send (senders 9, 2, 5); the second
         # round re-activates the edges in the opposite order, so a clock
-        # ordered by edge id would deliver 9, 2, 5 -- the baseline (and the
+        # ordered by edge id would deliver 9, 2, 5 -- the spec (and the
         # activation sequence) says 5, 2, 9.
         bw = 8
-        base = LinkTransport(bw)
+        spec = _SpecLinks(bw)
         cols = ColumnarTransport(bw)
-        for t in (base, cols):
+        for t in (spec, cols):
             for sender in (9, 2, 5):
                 t.enqueue(sender, 0, ("a", sender), bw, 1)
             t.flush()
-        assert _drain(cols) == _drain(base)
-        for t in (base, cols):
+        assert _drain(cols) == _drain(spec)
+        for t in (spec, cols):
             for sender in (5, 2, 9):
                 t.enqueue(sender, 0, ("b", sender), 2 * bw, 2)
             t.flush()
-        assert cols.rounds_until_delivery() == _rounds_until_delivery(base) == 2
-        assert _drain(cols) == _drain(base) == {}
+        assert cols.rounds_until_delivery() == spec.rounds_until_delivery() == 2
+        assert _drain(cols) == _drain(spec) == {}
         delivered = _drain(cols)
-        assert delivered == _drain(base)
+        assert delivered == _drain(spec)
         assert [sender for sender, _, _ in delivered[0]] == [5, 2, 9]
         assert cols.rounds_until_delivery() is None
 
@@ -176,29 +199,35 @@ class TestTransportLockstep:
 
 
 class TestStrictMode:
-    def test_oversized_message_text_matches_baseline(self):
-        base = LinkTransport(8, strict=True)
+    def test_oversized_message_text_matches_the_spec(self):
+        spec = _SpecLinks(8, strict=True)
         cols = ColumnarTransport(8, strict=True)
         errors = {}
-        for name, transport in (("base", base), ("cols", cols)):
-            with pytest.raises(BandwidthExceeded) as info:
+        for name, transport, error in (
+            ("spec", spec, congest_spec.BandwidthExceeded),
+            ("cols", cols, BandwidthExceeded),
+        ):
+            with pytest.raises(error) as info:
                 transport.enqueue(0, 1, "big", 9, 1)
             errors[name] = str(info.value)
-        assert errors["cols"] == errors["base"]
+        assert errors["cols"] == errors["spec"] == "message of 9 bits exceeds B=8 on edge 0->1"
 
     def test_per_edge_overflow_text_matches_and_commits_nothing(self):
-        base = LinkTransport(8, strict=True)
+        spec = _SpecLinks(8, strict=True)
         cols = ColumnarTransport(8, strict=True)
         errors = {}
-        for name, transport in (("base", base), ("cols", cols)):
+        for name, transport, error in (
+            ("spec", spec, congest_spec.BandwidthExceeded),
+            ("cols", cols, BandwidthExceeded),
+        ):
             transport.enqueue(0, 1, "a", 5, 1)
             transport.enqueue(0, 1, "b", 5, 1)
-            with pytest.raises(BandwidthExceeded) as info:
+            with pytest.raises(error) as info:
                 transport.flush()
             errors[name] = str(info.value)
-        assert errors["cols"] == errors["base"]
+        assert errors["cols"] == errors["spec"]
         # The check raises before the commit: nothing is in flight.
-        assert cols.pending_traffic() == base.pending_traffic() == 0
+        assert cols.pending_traffic() == spec.pending_traffic() == 0
         assert cols.live_edges == 0
 
 
@@ -262,9 +291,9 @@ class TestGroupRound:
 class TestNumpyPolicy:
     def test_congest_imports_without_numpy(self):
         """The acceptance guard: with numpy unimportable, ``repro.congest``
-        imports and an event run still matches the dense reference.  A
-        fresh interpreter, so no already-imported module can mask a numpy
-        import."""
+        and the CONGEST spec import, and an event run still matches the
+        spec.  A fresh interpreter, so no already-imported module can mask
+        a numpy import."""
         script = textwrap.dedent(
             """
             import sys
@@ -272,16 +301,16 @@ class TestNumpyPolicy:
             import repro.congest
             from repro.algorithms.mst import run_boruvka_mst
             from repro.graphs.generators import random_connected_graph
+            from tests.spec_harness import assert_same_run, on_both
 
             graph = random_connected_graph(10, seed=3)
             for u, v in graph.edges():
                 graph.edges[u, v]["weight"] = float(u * 31 + v + 1)
-            edges_dense, dense = run_boruvka_mst(graph, bandwidth=64, seed=0, engine="dense")
-            edges_cols, cols = run_boruvka_mst(graph, bandwidth=64, seed=0, engine="event")
-            assert edges_cols == edges_dense
-            assert (cols.rounds, cols.total_bits, cols.per_round_bits) == (
-                dense.rounds, dense.total_bits, dense.per_round_bits
+            (edges, event), (spec_edges, spec) = on_both(
+                lambda: run_boruvka_mst(graph, bandwidth=64, seed=0)
             )
+            assert edges == spec_edges
+            assert_same_run(spec, event)
             """
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
@@ -330,8 +359,6 @@ class TestTelemetry:
         graph = nx.path_graph(3)
         network = CongestNetwork(graph, NodeProgram, engine="event", trace=tracer)
         assert network.transport.trace is tracer
-        reference = CongestNetwork(graph, NodeProgram, engine="dense", trace=tracer)
-        assert not hasattr(reference.transport, "trace")
 
 
 class TestMinEdgeIndex:
@@ -395,6 +422,13 @@ class TestMinEdgeIndex:
         network = CongestNetwork(graph, NodeProgram, engine="event")
         assert network.min_edge_index() is network.min_edge_index()
 
-    def test_opt_in_flag_per_engine(self):
-        assert get_engine("event").uses_min_edge_index
-        assert not get_engine("dense").uses_min_edge_index
+    def test_index_is_used_whenever_the_network_offers_one(self):
+        graph = self._weighted(8, 4)
+        network = CongestNetwork(graph, NodeProgram)
+        node = network.nodes[0]
+        assert _min_edge_index(node) is network.min_edge_index()
+        # A marked subnetwork keeps the explicit filter path.
+        node.input = {"m_neighbors": frozenset()}
+        assert _min_edge_index(node) is None
+        # The spec's node handle offers no index: the per-neighbour scan.
+        assert _min_edge_index(SpecNetwork(graph, NodeProgram).nodes[0]) is None

@@ -10,6 +10,9 @@ from repro.congest.faults import FaultPlan
 from repro.congest.message import QubitPayload, bit_size
 from repro.congest.network import BandwidthExceeded, CongestNetwork, run_program
 from repro.congest.node import Node, NodeProgram
+from tests import congest_spec
+from tests.congest_spec import SpecNetwork
+from tests.spec_harness import NETWORKS
 
 
 class EchoOnce(NodeProgram):
@@ -199,31 +202,32 @@ class TestExecution:
         assert network.total_messages > 0
 
     def test_engine_selection(self):
-        from repro.congest.engine import DenseEngine, EventEngine, get_engine
+        from repro.congest.engine import EventEngine
 
         graph = nx.path_graph(4)
         assert isinstance(CongestNetwork(graph, FloodProgram).engine, EventEngine)
-        assert isinstance(CongestNetwork(graph, FloodProgram, engine="dense").engine, DenseEngine)
-        engine = DenseEngine()
-        assert get_engine(engine) is engine
-        with pytest.raises(ValueError, match="unknown engine"):
-            CongestNetwork(graph, FloodProgram, engine="bogus")
+        engine = EventEngine()
+        assert CongestNetwork(graph, FloodProgram, engine=engine).engine is engine
+        for name in ("bogus", "dense"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                CongestNetwork(graph, FloodProgram, engine=name)
 
-    def test_both_engines_strict_mode(self):
+    def test_spec_strict_mode_matches(self):
         graph = nx.path_graph(2)
-        for engine in ("dense", "event"):
-            with pytest.raises(BandwidthExceeded):
-                run_program(graph, BigSender, bandwidth=10, strict=True, engine=engine)
+        with pytest.raises(BandwidthExceeded) as event:
+            run_program(graph, BigSender, bandwidth=10, strict=True)
+        with pytest.raises(congest_spec.BandwidthExceeded) as spec:
+            SpecNetwork(graph, BigSender, bandwidth=10, strict=True).run()
+        assert str(event.value) == str(spec.value) == "message of 100 bits exceeds B=10 on edge 0->1"
 
-    @pytest.mark.parametrize("engine", ["dense", "event"])
-    def test_finished_network_is_freed_without_gc(self, engine):
+    def test_finished_network_is_freed_without_gc(self):
         # Nodes point back at their network; that back-reference must not
         # form a cycle, or every finished network (and its transport's
         # per-edge queues) lingers until a full collection.
         graph = nx.cycle_graph(8)
         gc.disable()
         try:
-            network = CongestNetwork(graph, FloodProgram, engine=engine)
+            network = CongestNetwork(graph, FloodProgram)
             network.run()
             ref = weakref.ref(network)
             del network
@@ -231,8 +235,7 @@ class TestExecution:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("engine", ["dense", "event"])
-    def test_finished_faulted_network_is_freed_without_gc(self, engine):
+    def test_finished_faulted_network_is_freed_without_gc(self):
         # The fault wrapper holds its own tracer and plan, and topology
         # events splice the nodes' neighbour tuples mid-run; none of it may
         # tie the finished network into a cycle either.
@@ -244,7 +247,7 @@ class TestExecution:
         assert plan.crashes and plan.topology_events
         gc.disable()
         try:
-            network = CongestNetwork(graph, FloodProgram, engine=engine, faults=plan)
+            network = CongestNetwork(graph, FloodProgram, faults=plan)
             network.run(max_rounds=30)
             ref = weakref.ref(network)
             del network
@@ -252,8 +255,8 @@ class TestExecution:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("engine", ["dense", "event"])
-    def test_quiescence_waits_for_a_multi_round_message(self, engine):
+    @NETWORKS
+    def test_quiescence_waits_for_a_multi_round_message(self, network_cls):
         # Nobody halts; the only traffic is one 100-bit message crawling
         # over B=10.  Every round of its transit moves bits, so the
         # quiescence stop must not fire before it lands in round 10.
@@ -266,7 +269,7 @@ class TestExecution:
                 if inbox:
                     node.output = round_no
 
-        network = CongestNetwork(nx.path_graph(2), SlowSilent, bandwidth=10, engine=engine)
+        network = network_cls(nx.path_graph(2), SlowSilent, bandwidth=10)
         result = network.run(max_rounds=500, stop_on_quiescence=True)
         assert result.outputs[1] == 10
         assert result.rounds == 10

@@ -2,9 +2,12 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,19 @@ class TestScenariosCatalog:
             "docs/scenarios.md drifted from the scenario registry; regenerate with "
             "`PYTHONPATH=src python -m repro.experiments.reporting.docs > docs/scenarios.md`"
         )
+
+    def test_documented_regeneration_command_runs_cleanly(self):
+        # The command named above, in a fresh interpreter with runpy's
+        # "found in sys.modules" warning turned into an error: the package
+        # must not import the docs module before runpy executes it.
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.experiments.reporting.docs"],
+            cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout == (REPO / "docs" / "scenarios.md").read_text()
 
     def test_catalog_excludes_adhoc_registrations(self):
         # This test module's sibling suites register test-* scenarios; the

@@ -18,6 +18,7 @@ from repro.experiments import (
 )
 from repro.experiments.cli import main as cli_main
 from repro.experiments.sweep import derive_seed, parse_axis_overrides
+from tests.spec_harness import on_both
 
 BUILTINS = (
     "boruvka-mst-sweep",
@@ -256,19 +257,18 @@ class TestBoruvkaMstSweepScenario:
         assert result["tree_edges"] == result["n"] - 1
         assert result["rounds"] > 0 and result["total_bits"] > 0
 
-    def test_engine_axis_sweeps_identically(self):
-        """The engine is a grid axis: both engines must report the same MST
-        and the same CONGEST metrics on the same point."""
+    def test_point_matches_the_spec(self):
+        """The scenario reports the same MST and CONGEST metrics when its
+        network runs on the CONGEST spec instead of the event engine."""
         scn = get_scenario("boruvka-mst-sweep")
-        results = {}
-        for engine in ("dense", "event"):
-            params = scn.resolve_params(
-                {"n": 16, "generator": "geometric", "weight_model": "distinct",
-                 "engine": engine}
-            )
-            results[engine] = scn.run(params, seed=5)
-        for field in ("tree_weight", "rounds", "total_bits", "total_messages", "exact"):
-            assert results["event"][field] == results["dense"][field], field
+        params = scn.resolve_params(
+            {"n": 16, "generator": "geometric", "weight_model": "distinct"}
+        )
+        event, spec = on_both(lambda: scn.run(params, seed=5))
+        # Everything but the engine's step counter, which the spec leaves at 0.
+        assert event.pop("node_steps") > 0 and spec.pop("node_steps") == 0
+        assert event == spec
+        assert event["exact"]
 
     def test_mst_verdict_is_edge_set_or_spanning_tree(self):
         import networkx as nx
@@ -329,18 +329,19 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "3 cached, 0 executed, 0 failed" in out
 
-    def test_engine_flags_become_grid_axes(self, capsys):
+    def test_engine_is_a_grid_axis_not_a_flag(self, capsys):
         argv = [
             "run", "boruvka-mst-sweep", "--no-store",
             "--set", "n=12", "--set", "generator=random", "--set", "weight_model=distinct",
-            "--engine", "dense",
+            "--set", "engine=event",
         ]
         assert cli_main(argv) == 0
-        out = capsys.readouterr().out
-        assert "'engine': 'dense'" in out
-        # Scenarios without an engine param reject the flag cleanly.
-        assert cli_main(["run", "test-echo", "--no-store", "--engine", "dense"]) == 2
-        assert "unknown grid axis" in capsys.readouterr().err
+        assert "'engine': 'event'" in capsys.readouterr().out
+        # There is one engine and no --engine flag: argparse exits 2.
+        with pytest.raises(SystemExit) as info:
+            cli_main(["run", "boruvka-mst-sweep", "--no-store", "--engine", "dense"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_bad_input_gives_clean_error(self, tmp_path, capsys):
         assert cli_main(["run", "test-echo", "--set", "bogus=1", "--store", str(tmp_path)]) == 2

@@ -1,6 +1,6 @@
 """The fault-injection layer: plan values, wrapper semantics, recovery.
 
-Covers the three seams the layer adds under the engines:
+Covers the three seams the layer adds under the engine:
 
 - :class:`FaultPlan` as a pure value -- validation, hash-decision purity,
   schedule queries, deterministic generation;
@@ -9,7 +9,7 @@ Covers the three seams the layer adds under the engines:
   delivery, the skip-rounds guard that keeps the event engine honest;
 - end-to-end recovery correctness and the exactness of the event
   engine's skip accounting across crash/recovery wake-ups (byte-identical
-  to the dense reference, which never skips).
+  to the CONGEST spec in ``tests/congest_spec.py``, which never skips).
 """
 
 import networkx as nx
@@ -17,7 +17,7 @@ import pytest
 
 from repro.algorithms.mst import run_boruvka_mst, tree_weight
 from repro.algorithms.paths import run_refreshing_bellman_ford
-from repro.congest.columnar import ColumnarTransport
+from repro.congest.columnar import BandwidthExceeded, ColumnarTransport
 from repro.congest.faults import (
     CrashSpan,
     FaultPlan,
@@ -27,8 +27,9 @@ from repro.congest.faults import (
 )
 from repro.congest.network import CongestNetwork, run_program
 from repro.congest.node import NodeProgram
-from repro.congest.transport import LinkTransport
 from repro.graphs.generators import random_connected_graph
+from tests.congest_spec import SpecNetwork
+from tests.spec_harness import NETWORKS, assert_same_run, on_both
 
 
 def _weighted(n, seed, extra_edge_prob=0.15):
@@ -241,9 +242,9 @@ def _staged_stream(n_edges=3, per_edge=4, round_no=1):
 
 
 def _run_round(plan, stream):
-    """Push one staged round through a wrapped LinkTransport; return the
-    wrapper and the delivered inboxes."""
-    transport = FaultyTransport(LinkTransport(bandwidth=512), plan)
+    """Push one staged round through a wrapped ColumnarTransport; return
+    the wrapper and the delivered inboxes."""
+    transport = FaultyTransport(ColumnarTransport(bandwidth=512), plan)
     for sender, receiver, payload, bits, round_no in stream:
         transport.enqueue(sender, receiver, payload, bits, round_no)
     transport.flush()
@@ -313,9 +314,7 @@ class TestFaultyTransportWire:
             assert [m.payload for m in inboxes_a[nid]] == [m.payload for m in inboxes_b[nid]]
 
     def test_strict_oversize_raises_like_bare_transport(self):
-        from repro.congest.transport import BandwidthExceeded
-
-        transport = FaultyTransport(LinkTransport(bandwidth=8, strict=True), FaultPlan())
+        transport = FaultyTransport(ColumnarTransport(bandwidth=8, strict=True), FaultPlan())
         with pytest.raises(BandwidthExceeded, match="exceeds B=8"):
             transport.enqueue("a", "b", ("big",), 99, 1)
 
@@ -361,28 +360,18 @@ class _RoundRecorder(NodeProgram):
 
 
 class TestCrashSemantics:
-    @pytest.mark.parametrize("engine", ["dense", "event"])
-    def test_crashed_node_naps_and_recovers(self, engine):
+    @NETWORKS
+    def test_crashed_node_naps_and_recovers(self, network_cls):
         graph = nx.path_graph(4)
         plan = FaultPlan(crashes=((2, 5, 11),))
-        programs = {}
-
-        def factory():
-            program = _RoundRecorder()
-            programs[len(programs)] = program
-            return program
-
-        network = CongestNetwork(graph, factory, bandwidth=64, engine=engine, faults=plan)
-        network.run(max_rounds=35, stop_on_quiescence=False)
-        crashed_program = next(
-            p for nid, p in network.programs.items() if nid == 2
-        )
-        stepped = set(crashed_program.stepped)
+        network = network_cls(graph, _RoundRecorder, bandwidth=64, faults=plan)
+        result = network.run(max_rounds=35, stop_on_quiescence=False)
+        stepped = set(network.programs[2].stepped)
         assert not stepped & set(range(5, 11)), "stepped while down"
         assert 11 in stepped, "recovery round must be stepped"
         assert 4 in stepped and 12 in stepped
         # Deliveries addressed to the napping node were discarded.
-        assert network.transport.stats.crash_lost > 0
+        assert result.fault_stats["crash_lost"] > 0
 
     def test_state_survives_the_nap(self):
         # The recorder keeps appending after recovery: state was retained,
@@ -435,7 +424,8 @@ class TestTopologyDynamics:
         network.run(max_rounds=10, stop_on_quiescence=False)
         assert network.transport.stats.link_lost > 0
 
-    def test_send_to_never_neighbor_still_raises(self):
+    @NETWORKS
+    def test_send_to_never_neighbor_still_raises(self, network_cls):
         class WildSender(NodeProgram):
             def on_round(self, node, round_no, inbox):
                 if node.id == 0:
@@ -443,34 +433,18 @@ class TestTopologyDynamics:
 
         graph = nx.path_graph(4)
         plan = FaultPlan(crashes=((2, 2, 4),))
-        network = CongestNetwork(
-            graph, WildSender, bandwidth=64, engine="dense", faults=plan
-        )
+        network = network_cls(graph, WildSender, bandwidth=64, faults=plan)
         with pytest.raises(ValueError, match="not a neighbor"):
             network.run(max_rounds=5, stop_on_quiescence=False)
-
-
-def _assert_results_match(dense, other):
-    assert other.rounds == dense.rounds
-    assert other.total_messages == dense.total_messages
-    assert other.total_bits == dense.total_bits
-    assert other.halted == dense.halted
-    assert other.max_edge_bits_per_round == dense.max_edge_bits_per_round
-    assert other.per_round_bits == dense.per_round_bits
-    assert other.fault_stats == dense.fault_stats
-    assert set(other.outputs) == set(dense.outputs)
-    for nid in dense.outputs:
-        assert repr(other.outputs[nid]) == repr(dense.outputs[nid]), nid
 
 
 class TestSkipAccountingUnderFaults:
     """The event engine's skip-jump accounting must stay exact when crash
     recoveries and topology events force extra wake-ups: its RunResult
-    (including the per-round bit trace) matches the dense reference, which
+    (including the per-round bit trace) matches the CONGEST spec, which
     never skips at all."""
 
-    @pytest.mark.parametrize("engine", ["event"])
-    def test_refreshing_bf_under_full_plan_matches_dense(self, engine):
+    def test_refreshing_bf_under_full_plan_matches_the_spec(self):
         graph = _weighted(18, 2)
         source = min(graph.nodes())
         plan = FaultPlan.generate(
@@ -486,20 +460,17 @@ class TestSkipAccountingUnderFaults:
             window=(1, 25),
             protect=[source],
         )
-        _, dense = run_refreshing_bellman_ford(
-            graph, source, max_rounds=60, engine="dense", faults=plan
+        (_, event), (_, spec) = on_both(
+            lambda: run_refreshing_bellman_ford(graph, source, max_rounds=60, faults=plan)
         )
-        _, other = run_refreshing_bellman_ford(
-            graph, source, max_rounds=60, engine=engine, faults=plan
-        )
-        _assert_results_match(dense, other)
-        assert other.fault_stats is not None and other.fault_stats["drops"] > 0
+        assert_same_run(spec, event)
+        assert event.fault_stats is not None and event.fault_stats["drops"] > 0
 
     def test_quiet_crash_recovery_wakeups_are_not_skipped(self):
         # A reactive program goes quiet; the only activity left is a crash
         # recovery deep in the quiet stretch.  The event engine must land
         # exactly on the recovery round (the transport guard raises if a
-        # skip leaps over it) and still agree with dense byte for byte.
+        # skip leaps over it) and still agree with the spec byte for byte.
         class OneShot(NodeProgram):
             def on_start(self, node):
                 if node.id == 0:
@@ -513,13 +484,9 @@ class TestSkipAccountingUnderFaults:
 
         graph = nx.path_graph(5)
         plan = FaultPlan(crashes=((3, 40, 70),))
-        dense = run_program(
-            graph, OneShot, bandwidth=8, max_rounds=100, engine="dense", faults=plan
-        )
-        event = run_program(
-            graph, OneShot, bandwidth=8, max_rounds=100, engine="event", faults=plan
-        )
-        _assert_results_match(dense, event)
+        spec = SpecNetwork(graph, OneShot, bandwidth=8, faults=plan).run(max_rounds=100)
+        event = run_program(graph, OneShot, bandwidth=8, max_rounds=100, faults=plan)
+        assert_same_run(spec, event)
         assert event.rounds == 100
 
 

@@ -7,7 +7,8 @@ Three contracts pin the observability layer down:
 2. JSONL traces are schema-valid and deterministic modulo clock fields,
    so archived CI traces diff cleanly;
 3. trace accounting is *exact*, not approximate -- per-round sent-bit
-   samples sum to ``RunResult.total_bits`` on every engine, and the
+   samples sum to ``RunResult.total_bits`` and agree with the CONGEST
+   spec, and the
    per-task meta block the sweep runner persists agrees with the trace.
 """
 
@@ -17,13 +18,11 @@ from pathlib import Path
 
 import pytest
 
-import benchmarks.check_regression as check_regression
 from repro.algorithms.paths import run_bellman_ford
 from repro.congest.network import CongestNetwork
 from repro.experiments import expand_grid, get_scenario, run_sweep
 from repro.experiments.cli import main as cli_main
 from repro.experiments.reporting import render_timeline_page, render_trends_page
-from repro.experiments.reporting.site import extract_speedups
 from repro.experiments.reporting.timeline import load_traces
 from repro.obs.trace import (
     TRACE_DIR_ENV,
@@ -36,6 +35,7 @@ from repro.obs.trace import (
     trace_files,
     use_tracer,
 )
+from tests.spec_harness import on_spec
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -133,12 +133,11 @@ class TestTraceWriter:
 
 
 class TestExactAccounting:
-    @pytest.mark.parametrize("engine", ["dense", "event"])
-    def test_round_bit_samples_sum_to_run_result(self, engine):
+    def test_round_bit_samples_sum_to_run_result(self):
         graph = _graph(seed=7)
         tracer = CollectingTracer()
         with use_tracer(tracer):
-            dist, result = run_bellman_ford(graph, min(graph.nodes()), engine=engine)
+            dist, result = run_bellman_ford(graph, min(graph.nodes()))
         summary = summarize_trace(tracer.events)
         assert summary["sent_bits"] == result.total_bits
         assert summary["sent_messages"] == result.total_messages
@@ -148,20 +147,19 @@ class TestExactAccounting:
         assert run["rounds"] == result.rounds
         assert run["halted"] == result.halted
 
-    def test_engines_agree_on_counter_totals(self):
+    def test_trace_totals_match_the_spec(self):
         graph = _graph(seed=11)
-        totals = {}
-        for name in ("dense", "event"):
-            tracer = CollectingTracer()
-            with use_tracer(tracer):
-                run_bellman_ford(graph, min(graph.nodes()), engine=name)
-            summary = summarize_trace(tracer.events)
-            totals[name] = (
-                summary["sent_bits"],
-                summary["sent_messages"],
-                summary["moved_bits"],
-            )
-        assert totals["event"] == totals["dense"]
+        tracer = CollectingTracer()
+        with use_tracer(tracer):
+            run_bellman_ford(graph, min(graph.nodes()))
+        summary = summarize_trace(tracer.events)
+        with on_spec():
+            _, spec = run_bellman_ford(graph, min(graph.nodes()))
+        assert (summary["sent_bits"], summary["sent_messages"], summary["moved_bits"]) == (
+            spec.total_bits,
+            spec.total_messages,
+            sum(spec.per_round_bits),
+        )
 
 
 class TestSweepTraces:
@@ -268,63 +266,3 @@ class TestReportPages:
 
     def test_trace_files_rejects_nothing_silently(self, tmp_path):
         assert trace_files(tmp_path) == []
-
-
-class TestRegressionGate:
-    def _bench(self, tmp_path, speedup):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(
-            json.dumps({"benchmark": "gate-test", "speedup": speedup})
-        )
-        return str(path)
-
-    def _baselines(self, tmp_path, policy, speedup=2.0):
-        path = tmp_path / "baselines.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": 1,
-                    "entries": {
-                        "gate-test": {
-                            "speedup": speedup,
-                            "policy": policy,
-                            "max_regression": 0.25,
-                        }
-                    },
-                }
-            )
-        )
-        return str(path)
-
-    def test_within_threshold_passes(self, tmp_path):
-        argv = [self._bench(tmp_path, 1.9), "--baselines", self._baselines(tmp_path, "hard")]
-        assert check_regression.main(argv) == 0
-
-    def test_hard_regression_fails(self, tmp_path):
-        argv = [self._bench(tmp_path, 1.0), "--baselines", self._baselines(tmp_path, "hard")]
-        assert check_regression.main(argv) == 1
-
-    def test_warn_regression_passes(self, tmp_path):
-        argv = [self._bench(tmp_path, 1.0), "--baselines", self._baselines(tmp_path, "warn")]
-        assert check_regression.main(argv) == 0
-
-    def test_update_writes_baselines_preserving_policy(self, tmp_path):
-        baselines = self._baselines(tmp_path, "warn")
-        bench = self._bench(tmp_path, 3.0)
-        assert check_regression.main([bench, "--baselines", baselines, "--update"]) == 0
-        doc = json.loads(Path(baselines).read_text())
-        entry = doc["entries"]["gate-test"]
-        assert entry["speedup"] == 3.0
-        assert entry["policy"] == "warn"
-
-    def test_extract_mirror_matches_reporting_walker(self):
-        for name in ("BENCH_pr2.json", "BENCH_pr4.json"):
-            data = json.loads((REPO / name).read_text())
-            assert check_regression._extract_speedups(data) == extract_speedups(data)
-
-    def test_committed_baselines_are_valid(self):
-        doc = json.loads((REPO / "benchmarks" / "baselines.json").read_text())
-        assert doc["schema"] == 1
-        for label, entry in doc["entries"].items():
-            assert entry["policy"] in ("hard", "warn"), label
-            assert entry["speedup"] > 0, label

@@ -175,10 +175,11 @@ class TestFaultDeterminismProperties:
 
     @given(st.integers(0, 500))
     @settings(max_examples=6, deadline=None)
-    def test_fault_seed_invariant_under_engine(self, fault_seed):
+    def test_fault_seed_run_matches_the_spec(self, fault_seed):
         from repro.algorithms.paths import run_refreshing_bellman_ford
         from repro.congest.faults import FaultPlan
         from repro.graphs.generators import random_connected_graph
+        from tests.spec_harness import assert_same_run, on_both
 
         graph = random_connected_graph(12, extra_edge_prob=0.2, seed=5)
         source = min(graph.nodes())
@@ -186,21 +187,14 @@ class TestFaultDeterminismProperties:
             graph, seed=0, drop_prob=0.15, n_crashes=1, crash_length=4,
             window=(1, 15), protect=[source],
         )
-        runs = {}
-        for engine in ("dense", "event"):
-            dists, result = run_refreshing_bellman_ford(
+        (dists, event), (spec_dists, spec) = on_both(
+            lambda: run_refreshing_bellman_ford(
                 graph, source, weighted=False, max_rounds=30,
-                engine=engine, faults=plan, fault_seed=fault_seed,
+                faults=plan, fault_seed=fault_seed,
             )
-            runs[engine] = (dists, result)
-        dists_d, result_d = runs["dense"]
-        dists_e, result_e = runs["event"]
-        assert dists_e == dists_d
-        assert result_e.fault_stats == result_d.fault_stats
-        assert (result_e.rounds, result_e.total_messages, result_e.total_bits) == (
-            result_d.rounds, result_d.total_messages, result_d.total_bits,
         )
-        assert result_e.per_round_bits == result_d.per_round_bits
+        assert dists == spec_dists
+        assert_same_run(spec, event)
 
     @given(st.integers(0, 500))
     @settings(max_examples=8, deadline=None)

@@ -44,7 +44,7 @@ def _record(scenario_name, key, params, result, *, seed=7, status="ok", error=No
 
 
 def _fig3_store(root) -> ResultStore:
-    """A fixed store with fig3 + engine-speedup + an unregistered scenario."""
+    """A fixed store with fig3 + spanner-skeleton + an unregistered scenario."""
     store = ResultStore(root)
     for i, w in enumerate((2.0, 32.0, 256.0)):
         store.put(
@@ -62,18 +62,17 @@ def _fig3_store(root) -> ResultStore:
                 },
             )
         )
-    for i, w in enumerate((256.0, 1024.0)):
+    for i, n in enumerate((30, 60)):
         store.put(
             _record(
-                "fig3-engine-speedup",
+                "spanner-skeleton",
                 f"s{i}",
-                {"n": 24, "aspect_ratio": w},
+                {"n": n, "engine": "event"},
                 {
-                    "W": w,
-                    "dense_seconds": 0.8 + i,
-                    "event_seconds": 0.1,
-                    "speedup": 8.0 * (i + 1),
-                    "engines_agree": True,
+                    "n": n,
+                    "m": 2 * n,
+                    "spanner_edges": n + i,
+                    "quiet_fraction": 0.8 + 0.05 * i,
                 },
             )
         )
@@ -222,19 +221,19 @@ class TestSite:
         assert set(pages1) == {
             "index.html",
             "fig3-mst-tradeoff.html",
-            "fig3-engine-speedup.html",
+            "spanner-skeleton.html",
             "ghost-scenario.html",
         }
 
-    def test_fig3_and_speedup_pages_embed_plots(self, tmp_path):
+    def test_fig3_and_spanner_pages_embed_plots(self, tmp_path):
         store = _fig3_store(tmp_path / "store")
         index = build_site(store, tmp_path / "site")
         tradeoff = (index.parent / "fig3-mst-tradeoff.html").read_text()
-        speedup = (index.parent / "fig3-engine-speedup.html").read_text()
+        spanner = (index.parent / "spanner-skeleton.html").read_text()
         assert tradeoff.count("<svg") >= 2
         assert "Fig. 3 — MST rounds vs aspect ratio W" in tradeoff
-        assert speedup.count("<svg") >= 2
-        assert "speedup" in speedup
+        assert spanner.count("<svg") >= 2
+        assert "Spanner size vs the linear-size budget" in spanner
 
     def test_pages_are_self_contained(self, tmp_path):
         store = _fig3_store(tmp_path / "store")
@@ -340,7 +339,7 @@ class TestCli:
         assert len(records) == 7
         assert {r["scenario"] for r in records} == {
             "fig3-mst-tradeoff",
-            "fig3-engine-speedup",
+            "spanner-skeleton",
             "ghost-scenario",
         }
 
